@@ -141,18 +141,23 @@ def _square_single(label: HarmonicLabel, symmetric: bool) -> HarmonicSum:
     return HarmonicSum({_product_label(k, 1): 1 for k in degrees})
 
 
+def _scale(s: HarmonicSum, k: int) -> HarmonicSum:
+    return HarmonicSum([(label, k * mult) for label, mult in s.terms])
+
+
 def _square(s: HarmonicSum, symmetric: bool) -> HarmonicSum:
-    # S2(A + B) = S2(A) + A x B + S2(B), and dually for L2.
-    flat = []
-    for label, mult in s.terms:
-        flat.extend([label] * mult)
-    if not flat:
-        return HarmonicSum()
-    head, rest = flat[0], HarmonicSum([(l, 1) for l in flat[1:]])
-    out = _square_single(head, symmetric)
-    if rest:
-        out = out + tensor_product(HarmonicSum([(head, 1)]), rest)
-        out = out + _square(rest, symmetric)
+    # S2(sum m_i V_i) = sum_i [m_i S2(V_i) + C(m_i, 2) V_i x V_i]
+    #                   + sum_{i<j} m_i m_j V_i x V_j, and dually for L2.
+    # Work is quadratic in the number of distinct labels, not in the total
+    # multiplicity.
+    out = HarmonicSum()
+    for i, (label, mult) in enumerate(s.terms):
+        single = HarmonicSum([(label, 1)])
+        out = out + _scale(_square_single(label, symmetric), mult)
+        out = out + _scale(tensor_product(single, single), mult * (mult - 1) // 2)
+        rest = HarmonicSum(s.terms[i + 1:])
+        if rest:
+            out = out + tensor_product(HarmonicSum([(label, mult)]), rest)
     return out
 
 

@@ -1,7 +1,6 @@
 """Brute-force matrix-group oracle for the clips rules."""
 
 from .classify import classify, rotation_axis_angle
-from .kernels import USING_NUMBA
 from .realize import MATCH_TOL, ORTHO_TOL, MatrixGroup, intersect, realize, rotation
 from .verify import (
     VerificationReport,
@@ -16,7 +15,6 @@ from .verify import (
 __all__ = [
     "MATCH_TOL",
     "ORTHO_TOL",
-    "USING_NUMBA",
     "MatrixGroup",
     "VerificationReport",
     "alignment_frames",

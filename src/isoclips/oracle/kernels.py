@@ -1,185 +1,70 @@
 """Hot numeric kernels for the matrix-group oracle.
 
-Each kernel has a pure-numpy implementation and, when numba is importable,
-an ``@njit`` version.  The active set is chosen at import time: setting the
-environment variable ``ISOCLIPS_NO_NUMBA=1`` forces the numpy path.  Both
-sets stay importable (``PY_KERNELS`` / ``JIT_KERNELS``) so the benchmark can
-compare them directly.
+``membership``, ``closure_ok`` and ``mult_table`` compare 3x3 blocks
+entrywise within ``tol``.  ``batch_membership`` tests many frames at once
+with a Frobenius threshold instead: for orthogonal ``A`` and ``B``,
+``||A - B||_F^2 = 6 - 2<A, B>``, so one matrix product over flattened
+blocks replaces the difference tensor.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_NUMPY_CHUNK = 64  # frames per block in the batch fallback, bounds memory
+# Kept for the benchmark's run record, which reads it; there is one kernel set.
+USING_NUMBA = False
+
+MATCH_TOL = 1e-6
+_NUMPY_CHUNK = 64  # frames per block in batch_membership, bounds memory
 
 
-def _membership_py(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
+def _matches(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
+    """Bool matrix (len(A), len(B)): A[i] within entrywise tol of B[j]."""
+    return np.abs(A[:, None] - B[None, :]).max(axis=(2, 3)) <= tol
+
+
+def _products(G: np.ndarray) -> np.ndarray:
+    """All pairwise products G[a] @ G[b], flattened to (n*n, 3, 3)."""
+    n = G.shape[0]
+    return np.einsum("aij,bjk->abik", G, G).reshape(n * n, 3, 3)
+
+
+def membership(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
     """Bool mask over A: A[i] within entrywise tol of some B[j]."""
-    diff = np.abs(A[:, None] - B[None, :]).max(axis=(2, 3))
-    return (diff <= tol).any(axis=1)
+    return _matches(A, B, tol).any(axis=1)
 
 
-def _batch_membership_py(A: np.ndarray, BC: np.ndarray, tol: float) -> np.ndarray:
-    """Bool mask (frames, len(A)): A[i] matches some element of BC[f]."""
+def batch_membership(A: np.ndarray, BC: np.ndarray, tol: float) -> np.ndarray:
+    """Bool mask (frames, len(A)): ||A[i] - BC[f, j]||_F <= tol for some j.
+
+    All matrices must be orthogonal.  Rounding in the Gram form leaves up to
+    ~1e-14 of noise on the squared distance, so ``tol**2`` must stay well
+    above it: tolerances below ``MATCH_TOL`` are refused.
+    """
+    if tol < MATCH_TOL:
+        raise ValueError(f"batch_membership needs tol >= {MATCH_TOL}, got {tol}")
     F = BC.shape[0]
+    flat_a = A.reshape(A.shape[0], 9)
+    flat_bc = BC.reshape(F, BC.shape[1], 9)
+    bound = 3.0 - tol * tol / 2.0
     out = np.empty((F, A.shape[0]), dtype=bool)
     for start in range(0, F, _NUMPY_CHUNK):
-        block = BC[start:start + _NUMPY_CHUNK]
-        diff = np.abs(A[None, :, None] - block[:, None, :]).max(axis=(3, 4))
-        out[start:start + block.shape[0]] = (diff <= tol).any(axis=2)
+        # (frames, len(BC[f]), len(A)) inner products; matmul runs on BLAS
+        # where the equivalent einsum does not.
+        gram = flat_bc[start:start + _NUMPY_CHUNK] @ flat_a.T
+        out[start:start + gram.shape[0]] = (gram >= bound).any(axis=1)
     return out
 
 
-def _closure_ok_py(G: np.ndarray, tol: float) -> bool:
+def closure_ok(G: np.ndarray, tol: float) -> bool:
     """Is the set closed under products (within tol)?"""
-    n = G.shape[0]
-    prods = np.einsum("aij,bjk->abik", G, G).reshape(n * n, 3, 3)
-    return bool(_membership_py(prods, G, tol).all())
+    # Not through ``membership``: callers count its calls as tight retries.
+    return bool(_matches(_products(G), G, tol).any(axis=1).all())
 
 
-def _mult_table_py(G: np.ndarray, tol: float) -> np.ndarray:
+def mult_table(G: np.ndarray, tol: float) -> np.ndarray:
     """Index table t[i, j] = k with G[i] @ G[j] ~ G[k], or -1."""
     n = G.shape[0]
-    prods = np.einsum("aij,bjk->abik", G, G).reshape(n * n, 3, 3)
-    diff = np.abs(prods[:, None] - G[None, :]).max(axis=(2, 3))
-    hit = diff <= tol
+    hit = _matches(_products(G), G, tol)
     table = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
     return table.reshape(n, n).astype(np.int64)
-
-
-PY_KERNELS = {
-    "membership": _membership_py,
-    "batch_membership": _batch_membership_py,
-    "closure_ok": _closure_ok_py,
-    "mult_table": _mult_table_py,
-}
-
-JIT_KERNELS = None
-
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit
-
-    @njit(cache=True)
-    def _membership_jit(A, B, tol):
-        na, nb = A.shape[0], B.shape[0]
-        out = np.zeros(na, dtype=np.bool_)
-        for i in range(na):
-            for j in range(nb):
-                ok = True
-                for r in range(3):
-                    for c in range(3):
-                        d = A[i, r, c] - B[j, r, c]
-                        if d > tol or d < -tol:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    out[i] = True
-                    break
-        return out
-
-    @njit(cache=True)
-    def _batch_membership_jit(A, BC, tol):
-        F, na, nb = BC.shape[0], A.shape[0], BC.shape[1]
-        out = np.zeros((F, na), dtype=np.bool_)
-        for f in range(F):
-            for i in range(na):
-                for j in range(nb):
-                    ok = True
-                    for r in range(3):
-                        for c in range(3):
-                            d = A[i, r, c] - BC[f, j, r, c]
-                            if d > tol or d < -tol:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        out[f, i] = True
-                        break
-        return out
-
-    @njit(cache=True)
-    def _closure_ok_jit(G, tol):
-        n = G.shape[0]
-        P = np.empty((3, 3))
-        for i in range(n):
-            for j in range(n):
-                for r in range(3):
-                    for c in range(3):
-                        s = 0.0
-                        for k in range(3):
-                            s += G[i, r, k] * G[j, k, c]
-                        P[r, c] = s
-                found = False
-                for m in range(n):
-                    ok = True
-                    for r in range(3):
-                        for c in range(3):
-                            d = P[r, c] - G[m, r, c]
-                            if d > tol or d < -tol:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        found = True
-                        break
-                if not found:
-                    return False
-        return True
-
-    @njit(cache=True)
-    def _mult_table_jit(G, tol):
-        n = G.shape[0]
-        table = np.full((n, n), -1, dtype=np.int64)
-        P = np.empty((3, 3))
-        for i in range(n):
-            for j in range(n):
-                for r in range(3):
-                    for c in range(3):
-                        s = 0.0
-                        for k in range(3):
-                            s += G[i, r, k] * G[j, k, c]
-                        P[r, c] = s
-                for m in range(n):
-                    ok = True
-                    for r in range(3):
-                        for c in range(3):
-                            d = P[r, c] - G[m, r, c]
-                            if d > tol or d < -tol:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        table[i, j] = m
-                        break
-        return table
-
-    JIT_KERNELS = {
-        "membership": _membership_jit,
-        "batch_membership": _batch_membership_jit,
-        "closure_ok": lambda G, tol: bool(_closure_ok_jit(G, tol)),
-        "mult_table": _mult_table_jit,
-    }
-except ImportError:  # pragma: no cover
-    pass
-
-
-def _select():
-    if os.environ.get("ISOCLIPS_NO_NUMBA") == "1" or JIT_KERNELS is None:
-        return PY_KERNELS, False
-    return JIT_KERNELS, True
-
-
-_ACTIVE, USING_NUMBA = _select()
-
-membership = _ACTIVE["membership"]
-batch_membership = _ACTIVE["batch_membership"]
-closure_ok = _ACTIVE["closure_ok"]
-mult_table = _ACTIVE["mult_table"]

@@ -30,10 +30,9 @@ from ..groups import (
     TRIV_K,
     TYPE_II_K,
 )
-from .kernels import closure_ok, membership
+from .kernels import MATCH_TOL, closure_ok, membership
 
 ORTHO_TOL = 1e-9
-MATCH_TOL = 1e-6
 
 PHI = (1.0 + sqrt(5.0)) / 2.0
 

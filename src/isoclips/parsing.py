@@ -8,6 +8,10 @@ Harmonic expressions are whitespace-insensitive formal sums::
               | '(' expr ')' | atom
     term     := factor { '(x)' factor }
     expr     := term { '+' term }
+
+Factors nest (through parentheses, squares and integer scaling) at most
+``MAX_NESTING`` levels deep; deeper input is a ``ParseError``, which keeps
+the recursive-descent parser within the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -98,6 +102,8 @@ def parse_class(text: str) -> SubgroupClass:
 # ---------------------------------------------------------------------------
 # Harmonic expressions.
 
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -135,6 +141,7 @@ class _ExprParser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open '(', 'S2(', 'L2(' and 'k*' factors
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.i]
@@ -169,29 +176,32 @@ class _ExprParser:
 
     def factor(self) -> HarmonicSum:
         kind, value, pos = self.peek()
-        if kind == "int":
-            self.take()
-            self.take("star")
-            mult = int(value)
-            inner = self.factor()
-            return HarmonicSum([(l, mult * m) for l, m in inner.terms])
-        if kind in ("s2", "l2"):
-            self.take()
-            self.take("lpar")
-            inner = self.expr()
-            self.take("rpar")
-            return sym_square(inner) if kind == "s2" else alt_square(inner)
-        if kind == "lpar":
-            self.take()
-            inner = self.expr()
-            self.take("rpar")
-            return inner
         if kind == "atom":
             self.take()
             star = value.endswith("*")
             degree = int(value[1:-1] if star else value[1:])
             return HarmonicSum([(HarmonicLabel(degree, star), 1)])
-        raise ParseError(f"expected a term, found {value or 'end'!r}", pos)
+        if kind not in ("int", "s2", "l2", "lpar"):
+            raise ParseError(f"expected a term, found {value or 'end'!r}", pos)
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        self.take()
+        if kind == "int":
+            self.take("star")
+            mult = int(value)
+            inner = self.factor()
+            out = HarmonicSum([(l, mult * m) for l, m in inner.terms])
+        elif kind == "lpar":
+            out = self.expr()
+            self.take("rpar")
+        else:
+            self.take("lpar")
+            inner = self.expr()
+            self.take("rpar")
+            out = sym_square(inner) if kind == "s2" else alt_square(inner)
+        self.depth -= 1
+        return out
 
 
 def parse_rep(text: str) -> HarmonicSum:

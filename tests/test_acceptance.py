@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criterion 9c is asserted exactly as stated and is expected to fail: the
-brute-force oracle refutes the membership it asks for (see
-notes/decisions.md and TestCorrectedCells in test_oracle.py).  Every other
-criterion must pass.
+brute-force oracle refutes the membership it asks for (see the README
+section "Corrected table cells" and TestCorrectedCells in test_oracle.py).
+Every other criterion must pass.
 """
 
 import itertools
@@ -131,7 +131,7 @@ def test_criterion_6_oracle_agreement():
     from isoclips.oracle import verify_clips
 
     classes = _finite_classes(12)
-    # JIT warmup on a tiny pair so compile time is not billed to the sweep.
+    # Warm up on a tiny pair so one-time setup is not billed to the sweep.
     verify_clips(TRIV, TRIV, samples=1, seed=SWEEP_SEED)
     start = time.monotonic()
     failures = []
@@ -246,4 +246,4 @@ def test_criterion_9c_d2_in_clips_t_t():
     assert dihedral(2) in clips_pair(Context.SO3, TETRA, OCTA)
     got = clips_pair(Context.SO3, TETRA, TETRA)
     _report("9c", "D2 in clips(T,T) as stated", dihedral(2) in got,
-            f"clips(T,T) = {got.render()} (see notes/decisions.md)")
+            f"clips(T,T) = {got.render()} (see README, \"Corrected table cells\")")

@@ -100,6 +100,14 @@ class TestDecompose:
             {"degree": 0, "star": False, "multiplicity": 1},
         ]
 
+    def test_square_of_large_multiplicity(self, capsys):
+        assert run(["decompose", "S2(1200*H1)"]) == 0
+        out, _ = out_of(capsys)
+        assert out == "720600*H2 + 719400*H1* + 720600*H0\n"
+
+    def test_deep_nesting_exit_2(self, capsys):
+        assert run(["decompose", "(" * 1200 + "H1" + ")" * 1200]) == 2
+
 
 class TestPoset:
     def test_edges_text(self, capsys):

@@ -133,10 +133,13 @@ class TestSquares:
                     assert chi(alt, theta, improper) == pytest.approx((c * c - sq) / 2)
 
     def test_square_of_sum_dimensions(self):
-        s = HarmonicSum({HarmonicLabel(2): 2, HarmonicLabel(1): 1, HarmonicLabel(0): 3})
-        d = s.dim
-        assert sym_square(s).dim == d * (d + 1) // 2
-        assert alt_square(s).dim == d * (d - 1) // 2
+        for s in (
+            HarmonicSum({HarmonicLabel(2): 2, HarmonicLabel(1): 1, HarmonicLabel(0): 3}),
+            HarmonicSum.single(1, mult=1200),
+        ):
+            d = s.dim
+            assert sym_square(s).dim == d * (d + 1) // 2
+            assert alt_square(s).dim == d * (d - 1) // 2
 
 
 class TestSO3Irreps:

@@ -8,6 +8,7 @@ from isoclips import (
     parse_rep,
     render_class,
 )
+from isoclips.parsing import MAX_NESTING
 
 
 class TestClassNames:
@@ -73,6 +74,16 @@ class TestHarmonicExpressions:
             parse_rep("2 H2")
         with pytest.raises(ParseError):
             parse_rep("S2(H1")
+
+    def test_nesting_limit(self):
+        depth = MAX_NESTING
+        assert parse_rep("(" * depth + "H1" + ")" * depth) == parse_rep("H1")
+        with pytest.raises(ParseError) as err:
+            parse_rep("(" * 1200 + "H1" + ")" * 1200)
+        assert err.value.offset == depth
+        with pytest.raises(ParseError) as err:
+            parse_rep("S2(" * 400 + "H0" + ")" * 400)
+        assert err.value.offset == 3 * depth
 
     def test_rendered_sum_reparses(self):
         s = parse_rep("H5 + 2*H4* + 5*H3 + 5*H2* + 6*H1 + H0*")
