@@ -16,11 +16,17 @@ USING_NUMBA = False
 
 MATCH_TOL = 1e-6
 _NUMPY_CHUNK = 64  # frames per block in batch_membership, bounds memory
+_MATCH_ROWS = 256  # rows of A per block in _matches, bounds memory
 
 
 def _matches(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
     """Bool matrix (len(A), len(B)): A[i] within entrywise tol of B[j]."""
-    return np.abs(A[:, None] - B[None, :]).max(axis=(2, 3)) <= tol
+    out = np.empty((A.shape[0], B.shape[0]), dtype=bool)
+    for start in range(0, A.shape[0], _MATCH_ROWS):
+        block = A[start:start + _MATCH_ROWS]
+        diff = np.abs(block[:, None] - B[None, :])
+        out[start:start + block.shape[0]] = diff.max(axis=(2, 3)) <= tol
+    return out
 
 
 def _products(G: np.ndarray) -> np.ndarray:

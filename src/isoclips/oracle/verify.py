@@ -17,8 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import atan2, pi
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import atan2, cos, pi, sin
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,55 +89,129 @@ def _axis_orbit_reps(axes: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     return np.array(reps)
 
 
-def _azimuth(w: np.ndarray, u: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> Optional[float]:
-    p1, p2 = float(w @ e1), float(w @ e2)
-    if p1 * p1 + p2 * p2 < 1e-14:
-        return None
-    return atan2(p2, p1)
+def _signed(axes: np.ndarray) -> np.ndarray:
+    """Rows w0, -w0, w1, -w1, ...: every axis in both orientations."""
+    return np.stack([axes, -axes], axis=1).reshape(-1, 3)
 
 
-def alignment_frames(A: MatrixGroup, B: MatrixGroup, max_frames: int = 20000) -> List[np.ndarray]:
-    """Curated frames: axis-to-axis alignments with twist angles that make
-    secondary axes coincide, plus generic twists that isolate single shared
-    axes."""
-    axes_a = characteristic_axes(A)
-    axes_b = characteristic_axes(B)
-    reps_a = _axis_orbit_reps(axes_a, A.pi_image())
-    reps_b = _axis_orbit_reps(axes_b, B.pi_image())
-    frames: List[np.ndarray] = [np.eye(3)]
-    for u in reps_a:
-        # Reference frame perpendicular to u for azimuth computations.
+def _off_axis(ws: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Rows with a defined azimuth in the plane (e1, e2)."""
+    p1, p2 = ws @ e1, ws @ e2
+    return p1 * p1 + p2 * p2 >= 1e-14
+
+
+def _azimuths(ws: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    # Scalar dot products and math.atan2: the twists are rounded from these
+    # exact values, which numpy's vectorised forms can miss by an ulp.
+    return np.array([atan2(float(w @ e2), float(w @ e1)) for w in ws])
+
+
+class _AxisFrame(NamedTuple):
+    """An orbit representative u with a frame (e1, e2) perpendicular to it,
+    and the cosines to u and exact azimuths of the class's signed axes."""
+
+    u: np.ndarray
+    unit: np.ndarray  # u normalized as rotation() normalizes its axis
+    e1: np.ndarray
+    e2: np.ndarray
+    cosines: np.ndarray
+    azimuths: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def _axes_of(elements: bytes) -> Tuple[np.ndarray, np.ndarray, Tuple[_AxisFrame, ...]]:
+    g = MatrixGroup(np.frombuffer(elements).reshape(-1, 3, 3))
+    axes = characteristic_axes(g)
+    reps = _axis_orbit_reps(axes, g.pi_image())
+    signed = _signed(axes)
+    frames = []
+    for u in reps:
         ref = np.array([1.0, 0.0, 0.0])
         if abs(float(u @ ref)) > 0.9:
             ref = np.array([0.0, 1.0, 0.0])
         e1 = ref - float(ref @ u) * u
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(u, e1)
-        cos_a, az_a = [], []
-        for w in axes_a:
-            for sw in (w, -w):
-                az = _azimuth(sw, u, e1, e2)
-                if az is not None:
-                    cos_a.append(float(sw @ u))
-                    az_a.append(az)
+        ws = signed[_off_axis(signed, e1, e2)]
+        frames.append(_AxisFrame(u, u / np.linalg.norm(u), e1, e2, ws @ u,
+                                 _azimuths(ws, e1, e2)))
+    # Cached results are shared by every caller.
+    for a in (axes, reps, *itertools.chain.from_iterable(frames)):
+        a.flags.writeable = False
+    return axes, reps, tuple(frames)
+
+
+def _class_axes(g: MatrixGroup) -> Tuple[np.ndarray, np.ndarray, Tuple[_AxisFrame, ...]]:
+    """Characteristic axes of ``g``, one axis per orbit and the azimuth frame
+    of each, computed once per distinct element array (every realization of
+    a class shares one)."""
+    return _axes_of(np.ascontiguousarray(g.elements, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=4096)
+def _base(v: bytes, u: bytes) -> np.ndarray:
+    """``rotation_between`` for axes given by their bytes; a sweep meets a
+    few hundred distinct pairs."""
+    base = rotation_between(np.frombuffer(v), np.frombuffer(u))
+    base.flags.writeable = False
+    return base
+
+
+def _alignment_twists(A: MatrixGroup, B: MatrixGroup):
+    """Yield (unit, base, twists): the frames ``rotation(unit, t) @ base``
+    for t in twists, in order, for every representative axis pair."""
+    axes_b, reps_b, _ = _class_axes(B)
+    for ax in _class_axes(A)[2]:
         for v in reps_b:
             for sv in (v, -v):
-                base = rotation_between(sv, u)
-                rotated = axes_b @ base.T
+                base = _base(sv.tobytes(), ax.u.tobytes())
+                ws = _signed(axes_b @ base.T)
+                # Pairs of A- and B-axes at the same angle to u: twisting by
+                # their azimuth difference makes them coincide.
+                ia, ib = np.nonzero(
+                    (np.abs(ax.cosines[:, None] - ws @ ax.u) < 1e-6)
+                    & _off_axis(ws, ax.e1, ax.e2)
+                )
                 twists = set(_GENERIC_TWISTS)
-                for w in rotated:
-                    for sw in (w, -w):
-                        c = float(sw @ u)
-                        az = _azimuth(sw, u, e1, e2)
-                        if az is None:
-                            continue
-                        for ca, aa in zip(cos_a, az_a):
-                            if abs(ca - c) < 1e-6:
-                                twists.add(round((aa - az) % (2 * pi), 9))
-                for t in sorted(twists):
-                    frames.append(rotation(u, t) @ base)
-                    if len(frames) >= max_frames:
-                        return frames
+                if len(ib):
+                    az = np.zeros(len(ws))
+                    cols = np.unique(ib)
+                    az[cols] = _azimuths(ws[cols], ax.e1, ax.e2)
+                    diffs = set(((ax.azimuths[ia] - az[ib]) % (2 * pi)).tolist())
+                    twists.update(round(d, 9) for d in diffs)
+                yield ax.unit, base, sorted(twists)
+
+
+def _rotations(axes: np.ndarray, angles: Sequence[float]) -> np.ndarray:
+    """``rotation(axes[i], angles[i])`` for every i (unit axes), with the same
+    Rodrigues arithmetic entry by entry."""
+    c = np.array([cos(t) for t in angles])[:, None, None]
+    s = np.array([sin(t) for t in angles])[:, None, None]
+    ux, uy, uz = axes.T
+    zero = np.zeros(len(axes))
+    K = np.stack([zero, -uz, uy, uz, zero, -ux, -uy, ux, zero], axis=1).reshape(-1, 3, 3)
+    return c * np.eye(3) + s * K + (1.0 - c) * (axes[:, :, None] * axes[:, None, :])
+
+
+def alignment_frames(A: MatrixGroup, B: MatrixGroup, max_frames: int = 20000) -> List[np.ndarray]:
+    """Curated frames: axis-to-axis alignments with twist angles that make
+    secondary axes coincide, plus generic twists that isolate single shared
+    axes.  The identity comes first; at most ``max(max_frames, 1)`` frames."""
+    room = max_frames - 1
+    units, bases, counts, angles = [], [], [], []
+    for unit, base, twists in _alignment_twists(A, B):
+        if room <= 0:
+            break
+        twists = twists[:room]
+        room -= len(twists)
+        units.append(unit)
+        bases.append(base)
+        counts.append(len(twists))
+        angles += twists
+    frames = [np.eye(3)]
+    if angles:
+        rots = _rotations(np.repeat(units, counts, axis=0), angles)
+        frames += list(rots @ np.repeat(bases, counts, axis=0))
     return frames
 
 
@@ -304,27 +378,38 @@ class VerificationReport:
 
 
 def _classify_cached(A: MatrixGroup, BC_f: np.ndarray, member_mask: np.ndarray,
-                     tol: float, cache: Dict[tuple, SubgroupClass]) -> SubgroupClass:
+                     tol: float) -> SubgroupClass:
+    """Class of the elements of A in ``member_mask``; ``BC_f`` is the first
+    frame's conjugated B with that mask, used for the tight retry."""
+    # Looked up per call: perfbench's tracer wraps these names in the
+    # kernels module.
     from .kernels import closure_ok, membership
 
-    idx = tuple(np.nonzero(member_mask)[0])
-    if idx not in cache:
-        mats = np.ascontiguousarray(A.elements[list(idx)])
+    mats = np.ascontiguousarray(A.elements[member_mask])
+    if not closure_ok(mats, tol):
+        # A frame near (but not on) an alignment manifold can match only
+        # part of a coset.  Genuine matches sit far below tol, so retry
+        # with a tightened tolerance before giving up.
+        tight = membership(np.ascontiguousarray(A.elements), BC_f, tol / 100.0)
+        mats = np.ascontiguousarray(A.elements[tight])
         if not closure_ok(mats, tol):
-            # A frame near (but not on) an alignment manifold can match only
-            # part of a coset.  Genuine matches sit far below tol, so retry
-            # with a tightened tolerance before giving up.
-            tight = membership(np.ascontiguousarray(A.elements), BC_f, tol / 100.0)
-            mats = np.ascontiguousarray(A.elements[tight])
-            if not closure_ok(mats, tol):
-                raise ValueError(
-                    "intersection is not closed at either tolerance; "
-                    "frame sits on a degenerate alignment"
-                )
-            cache[idx] = classify(MatrixGroup(mats))
-        else:
-            cache[idx] = classify(MatrixGroup(mats))
-    return cache[idx]
+            raise ValueError(
+                "intersection is not closed at either tolerance; "
+                "frame sits on a degenerate alignment"
+            )
+    return classify(MatrixGroup(mats))
+
+
+def _conjugates(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """(frames, len(G), 3, 3) array of F[f] @ G[n] @ F[f].T.
+
+    Row-major ``vec(f X f^T) = (f kron f) vec(X)``, so each frame is one
+    (len(G), 9) x (9, 9) matrix product, written straight into the result.
+    """
+    out = np.empty((len(F), len(G), 3, 3))
+    kron = np.einsum("fab,fdc->fbcad", F, F).reshape(-1, 9, 9)
+    np.matmul(G.reshape(-1, 9), kron, out=out.reshape(len(F), len(G), 9))
+    return out
 
 
 def verify_clips(a: SubgroupClass, b: SubgroupClass, samples: int = 200,
@@ -343,17 +428,15 @@ def verify_clips(a: SubgroupClass, b: SubgroupClass, samples: int = 200,
     randoms = list(random_rotations(samples, rng))
     frames = curated + randoms
 
-    F = np.array(frames)
-    BC = np.einsum("fab,nbc,fdc->fnad", F, B.elements, F)
-    masks = batch_membership(
-        np.ascontiguousarray(A.elements), np.ascontiguousarray(BC), tol
-    )
+    F = np.array(frames, dtype=float).reshape(-1, 3, 3)
+    BC = _conjugates(F, B.elements)
+    masks = batch_membership(np.ascontiguousarray(A.elements), BC, tol)
+    # Classify each distinct mask once, visiting them in the order of their
+    # first frame: the first frame to reach a class stays its witness.
+    _, first = np.unique(np.packbits(masks, axis=1), axis=0, return_index=True)
     witnesses: Dict[SubgroupClass, np.ndarray] = {}
-    cache: Dict[tuple, SubgroupClass] = {}
-    for f_idx in range(len(frames)):
-        c = _classify_cached(
-            A, np.ascontiguousarray(BC[f_idx]), masks[f_idx], tol, cache
-        )
+    for f_idx in np.sort(first):
+        c = _classify_cached(A, BC[f_idx], masks[f_idx], tol)
         if c not in witnesses:
             witnesses[c] = frames[f_idx]
     if auto:

@@ -57,7 +57,15 @@ def _fold(per_label, ctx: Context) -> ClassSet:
     acc = None
     for classes, mult in per_label:
         for _ in range(mult):
-            acc = classes if acc is None else clips_sets(ctx, acc, classes)
+            if acc is None:
+                acc = classes
+                continue
+            # Each step is a function of acc alone, so once a step returns
+            # acc unchanged every further copy of this label does too.
+            step = clips_sets(ctx, acc, classes)
+            if step == acc:
+                break
+            acc = step
     return acc
 
 

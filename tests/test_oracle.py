@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isoclips import (
+    ClassSet,
     Context,
     ICO,
     OCTA,
@@ -30,7 +31,7 @@ from isoclips.oracle import (
     rotation,
     verify_clips,
 )
-from isoclips.oracle.kernels import batch_membership, membership
+from isoclips.oracle.kernels import batch_membership, closure_ok, membership, mult_table
 
 FINITE_SAMPLE = [
     TRIV,
@@ -254,6 +255,39 @@ class TestVerifyClips:
         with pytest.raises(ValueError):
             verify_clips(O2, dihedral(4))
 
+    @pytest.mark.parametrize("a,b,seed", [
+        (ICO, OCTA, 0),
+        (TETRA, TETRA, 1),
+        (OCTA_MINUS, OCTA_MINUS, 2),
+        (d_h(6), d_v(4), 3),
+    ], ids=str)
+    def test_witness_is_first_frame_of_its_class(self, a, b, seed):
+        # Per-frame reference: each class's witness is the first frame whose
+        # intersection has that class (with the same tight retry).
+        A, B = realize(a), realize(b)
+        curated = alignment_frames(A, B)
+        frames = curated + list(random_rotations(200, np.random.default_rng(seed)))
+        first = {}
+        for f in frames:
+            Bf = B.conjugate(f)
+            try:
+                c = classify(intersect(A, Bf))
+            except ValueError:
+                c = classify(intersect(A, Bf, MATCH_TOL / 100.0))
+            first.setdefault(c, f)
+        rep = verify_clips(a, b, samples=200, seed=seed, alignments=curated)
+        assert rep.observed == ClassSet(first)
+        for c, f in first.items():
+            assert np.allclose(rep.witnesses[c], f, rtol=0.0, atol=1e-12), c
+
+    def test_alignment_frames_cap(self):
+        A, B = realize(ICO), realize(OCTA)
+        full = alignment_frames(A, B)
+        for k in (1, 2, 7, 100, len(full) - 1, len(full), len(full) + 5):
+            capped = alignment_frames(A, B, max_frames=k)
+            assert len(capped) == min(k, len(full))
+            assert np.array_equal(np.array(capped), np.array(full[:len(capped)]))
+
 
 class TestKernels:
     def test_batch_matches_per_frame_membership(self):
@@ -268,6 +302,38 @@ class TestKernels:
         expected = np.array([membership(A.elements, bc, MATCH_TOL) for bc in BC])
         assert np.array_equal(masks, expected)
         assert masks.sum(axis=1).max() == 12  # the T shared at the identity frame
+
+    @staticmethod
+    def _hits(G):
+        # Reference match matrix of all products against G, one element of G
+        # at a time over every product (no row blocks).
+        products = np.einsum("aij,bjk->abik", G, G).reshape(-1, 3, 3)
+        return np.stack(
+            [np.abs(products - g).max(axis=(1, 2)) <= MATCH_TOL for g in G], axis=1
+        )
+
+    @pytest.mark.parametrize("cls", [ICO, type_ii(ICO)], ids=str)
+    def test_match_tables_equal_unchunked_reference(self, cls):
+        G = realize(cls).elements
+        n = len(G)
+        hit = self._hits(G)
+        table = np.where(hit.any(axis=1), hit.argmax(axis=1), -1).reshape(n, n)
+        assert np.array_equal(mult_table(G, MATCH_TOL), table)
+        assert hit.any(axis=1).all() and closure_ok(G, MATCH_TOL)
+        part = G[: n // 3]
+        assert not self._hits(part).any(axis=1).all() and not closure_ok(part, MATCH_TOL)
+
+    def test_mult_table_memory_is_bounded(self):
+        import tracemalloc
+
+        G = np.ascontiguousarray(realize(type_ii(ICO)).elements)
+        tracemalloc.start()
+        try:
+            mult_table(G, MATCH_TOL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_batch_rejects_tight_tolerance(self):
         A = realize(OCTA).elements

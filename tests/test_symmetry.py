@@ -117,3 +117,53 @@ class TestIsotropyClasses:
                 i for i in range(1, len(sets)) if sets[i] == sets[i - 1]
             )
             assert all(s == sets[stable_from] for s in sets[stable_from:])
+
+
+class TestFixedPointFold:
+    """The fold stops a label's copies once a step leaves the set unchanged."""
+
+    def test_high_multiplicity_takes_few_steps(self, monkeypatch):
+        import isoclips.symmetry as symmetry
+
+        expected = isotropy_classes(spec("8*H4"))
+        steps = []
+        real = symmetry.clips_sets
+
+        def counting(ctx, acc, new):
+            steps.append(1)
+            return real(ctx, acc, new)
+
+        monkeypatch.setattr(symmetry, "clips_sets", counting)
+        assert isotropy_classes(spec("100000*H4")) == expected
+        assert len(steps) <= 5
+
+    @staticmethod
+    def _unstopped(text, ctx):
+        # Every copy of every label folded in, with no early stop.
+        from isoclips import clips_sets, isotropy_irrep_o3, isotropy_irrep_so3
+
+        acc = None
+        for label, mult in parse_rep(text).terms:
+            classes = (isotropy_irrep_so3(label.n) if ctx is Context.SO3
+                       else isotropy_irrep_o3(label))
+            for _ in range(mult):
+                acc = classes if acc is None else clips_sets(ctx, acc, classes)
+        return acc
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("text,ctx", [
+        ("{k}*H1", Context.SO3),
+        ("{k}*H2", Context.SO3),
+        ("{k}*H3", Context.SO3),
+        ("{k}*H4", Context.SO3),
+        ("{k}*H2 + H3", Context.SO3),
+        ("{k}*H1", Context.O3),
+        ("{k}*H3", Context.O3),
+        ("{k}*H2*", Context.O3),
+        ("{k}*H4* + H1", Context.O3),
+    ])
+    def test_equals_unstopped_fold(self, k, text, ctx):
+        text = text.format(k=k)
+        if ctx is Context.O3:
+            assert minus_one_action(spec(text, ctx)) is MinusOneAction.MINUS_ID
+        assert isotropy_classes(spec(text, ctx)) == self._unstopped(text, ctx)
