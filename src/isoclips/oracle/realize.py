@@ -41,14 +41,23 @@ Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 
+def rotations(axes, angles) -> np.ndarray:
+    """(n, 3, 3) rotations about ``axes[i]`` by ``angles[i]`` (Rodrigues)."""
+    axes = np.asarray(axes, dtype=float).reshape(-1, 3)
+    # Each norm as the dot product u.u, as np.linalg.norm takes it for one
+    # vector; the axis=1 reduction sums in another order.
+    u = axes / np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0]
+    c = np.array([cos(t) for t in angles])[:, None, None]
+    s = np.array([sin(t) for t in angles])[:, None, None]
+    K = np.zeros((len(u), 3, 3))  # [[0, -uz, uy], [uz, 0, -ux], [-uy, ux, 0]]
+    K[:, [2, 0, 1], [1, 2, 0]] = u
+    K[:, [1, 2, 0], [2, 0, 1]] = -u
+    return c * np.eye(3) + s * K + (1.0 - c) * (u[:, :, None] * u[:, None, :])
+
+
 def rotation(axis, angle: float) -> np.ndarray:
     """Rotation matrix about ``axis`` by ``angle`` (Rodrigues)."""
-    u = np.asarray(axis, dtype=float)
-    u = u / np.linalg.norm(u)
-    c, s = cos(angle), sin(angle)
-    ux, uy, uz = u
-    K = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
-    return c * np.eye(3) + s * K + (1.0 - c) * np.outer(u, u)
+    return rotations(axis, [angle])[0]
 
 
 def reflection(normal) -> np.ndarray:

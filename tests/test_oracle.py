@@ -32,6 +32,7 @@ from isoclips.oracle import (
     verify_clips,
 )
 from isoclips.oracle.kernels import batch_membership, closure_ok, membership, mult_table
+from isoclips.oracle.realize import rotations
 
 FINITE_SAMPLE = [
     TRIV,
@@ -88,6 +89,18 @@ class TestRealize:
         assert g.order == 4
         for e in expected:
             assert any(np.abs(e - m).max() < 1e-9 for m in g.elements)
+
+    def test_batched_rotations_equal_single(self):
+        # Alignment frames come from the batched form; each row must be the
+        # single rotation bit for bit, whatever the batch and axis length.
+        rng = np.random.default_rng(3)
+        axes = rng.normal(size=(500, 3)) * rng.uniform(0.1, 10.0, size=(500, 1))
+        angles = rng.uniform(-2 * pi, 2 * pi, size=500)
+        batch = rotations(axes, angles)
+        for axis, angle, R in zip(axes, angles, batch):
+            assert np.array_equal(rotation(axis, angle), R)
+        assert np.allclose(batch @ batch.transpose(0, 2, 1), np.eye(3), atol=1e-12)
+        assert np.allclose(np.linalg.det(batch), 1.0)
 
     def test_frame_conjugation(self):
         f = rotation([3, 1, 2], 1.1)
