@@ -1,8 +1,10 @@
 """Command-line front-end.
 
 Subcommands: ``clips``, ``isotropy``, ``irrep``, ``decompose``, ``poset``,
-``verify``.  Exit codes: 0 success, 2 parse error, 3 unsupported operation
-(mixed -I action / type II clips), 4 oracle verdict fail.
+``verify``.  Exit codes: 0 success, 1 invalid input (a class not admissible
+in the context, an infinite class given to ``verify``, a negative ``irrep``
+degree), 2 parse or usage error, 3 unsupported operation (mixed -I action /
+type II clips), 4 oracle verdict fail.
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERDICT = 4
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute-force check of one clips cell")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_non_negative, default=200)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--json", action="store_true")
     return parser
 

@@ -60,19 +60,6 @@ def rotation(axis, angle: float) -> np.ndarray:
     return rotations(axis, [angle])[0]
 
 
-def reflection(normal) -> np.ndarray:
-    """Reflection through the plane with the given normal."""
-    return -rotation(normal, pi)
-
-
-def _dedupe(mats, tol=ORTHO_TOL) -> np.ndarray:
-    out = []
-    for m in mats:
-        if not any(np.abs(m - o).max() <= tol for o in out):
-            out.append(m)
-    return np.array(out)
-
-
 def _cyclic_elements(n: int) -> np.ndarray:
     return np.array([rotation(Z, 2.0 * pi * j / n) for j in range(n)])
 

@@ -10,6 +10,26 @@ observed intersection classes with the symbolic rule output:
   solved so that secondary axes coincide, must reach every predicted class
   (completeness witnesses); a targeted subgroup-embedding search backs this
   up for stubborn cells.
+
+A sweep over many cells repeats most of its work, so each distinct piece is
+done once per process and kept in a bounded cache that holds a full
+criterion-6 sweep.  Each cache is exact: its value is a function of its key
+alone, so a hit returns what the computation would.
+
+* ``_axes_of``: the characteristic axes, orbit representatives and azimuth
+  frames of a group, keyed on its element bytes.
+* ``_subset_class``: the class of a member subset, keyed on the group's
+  element bytes, the packed member mask and ``tol``.  The subset determines
+  both the closure test and the class.  A subset that is not closed is
+  never cached: its tight retry depends on the frame that produced it.
+  A sweep classifies 544 distinct subsets in 5155 distinct per-cell masks.
+* ``_alignment``: for an A axis ``u``, a signed B axis ``sv`` and the group
+  B, the rotation sending ``sv`` to ``u`` and B's rotated axes with their
+  cosines and exact azimuths about ``u``.  These depend on (u, sv, B) alone;
+  only the match against A's axes is left per cell.  A sweep meets 2128
+  distinct ones in 10242 axis pairs.
+* ``_interned``: one shared copy of each element array's bytes, so that the
+  keys above do not copy a group once per cell.
 """
 
 from __future__ import annotations
@@ -94,6 +114,16 @@ def _signed(axes: np.ndarray) -> np.ndarray:
     return np.stack([axes, -axes], axis=1).reshape(-1, 3)
 
 
+def _perpendicular(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """An orthonormal pair (e1, e2) spanning the plane perpendicular to u."""
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(float(u @ ref)) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    e1 = ref - float(ref @ u) * u
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(u, e1)
+
+
 def _off_axis(ws: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """Rows with a defined azimuth in the plane (e1, e2)."""
     p1, p2 = ws @ e1, ws @ e2
@@ -106,85 +136,111 @@ def _azimuths(ws: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return np.array([atan2(float(w @ e2), float(w @ e1)) for w in ws])
 
 
+@functools.lru_cache(maxsize=256)
+def _interned(elements: bytes) -> bytes:
+    """The first equal bytes object seen, so that the cache keys of every
+    realization of a class share one copy of its elements."""
+    return elements
+
+
+def _elements_key(g: MatrixGroup) -> bytes:
+    return _interned(np.ascontiguousarray(g.elements, dtype=float).tobytes())
+
+
 class _AxisFrame(NamedTuple):
-    """An orbit representative u with a frame (e1, e2) perpendicular to it,
-    and the cosines to u and exact azimuths of the class's signed axes."""
+    """An orbit representative u (and its bytes), with the cosines to u and
+    the exact azimuths about u of the class's off-axis signed axes."""
 
     u: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
+    key: bytes
     cosines: np.ndarray
     azimuths: np.ndarray
 
 
 @functools.lru_cache(maxsize=256)
 def _axes_of(elements: bytes) -> Tuple[np.ndarray, np.ndarray, Tuple[_AxisFrame, ...]]:
+    """Characteristic axes of the group with these elements, one axis per
+    orbit and the azimuth frame of each."""
     g = MatrixGroup(np.frombuffer(elements).reshape(-1, 3, 3))
     axes = characteristic_axes(g)
     reps = _axis_orbit_reps(axes, g.pi_image())
     signed = _signed(axes)
     frames = []
     for u in reps:
-        ref = np.array([1.0, 0.0, 0.0])
-        if abs(float(u @ ref)) > 0.9:
-            ref = np.array([0.0, 1.0, 0.0])
-        e1 = ref - float(ref @ u) * u
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(u, e1)
+        e1, e2 = _perpendicular(u)
         ws = signed[_off_axis(signed, e1, e2)]
-        frames.append(_AxisFrame(u, e1, e2, ws @ u, _azimuths(ws, e1, e2)))
+        frames.append(_AxisFrame(u, u.tobytes(), ws @ u, _azimuths(ws, e1, e2)))
     # Cached results are shared by every caller.
-    for a in (axes, reps, *itertools.chain.from_iterable(frames)):
+    for a in (axes, reps, *(a for f in frames for a in (f.u, f.cosines, f.azimuths))):
         a.flags.writeable = False
     return axes, reps, tuple(frames)
 
 
-def _class_axes(g: MatrixGroup) -> Tuple[np.ndarray, np.ndarray, Tuple[_AxisFrame, ...]]:
-    """Characteristic axes of ``g``, one axis per orbit and the azimuth frame
-    of each, computed once per distinct element array (every realization of
-    a class shares one)."""
-    return _axes_of(np.ascontiguousarray(g.elements, dtype=float).tobytes())
+class _Alignment(NamedTuple):
+    """``base`` sends a signed B axis to u.  B's signed axes after it that
+    have an azimuth about u: their cosines to u and exact azimuths."""
+
+    base: np.ndarray
+    cosines: np.ndarray
+    azimuths: np.ndarray
 
 
 @functools.lru_cache(maxsize=4096)
-def _base(v: bytes, u: bytes) -> np.ndarray:
-    """``rotation_between`` for axes given by their bytes: a sweep makes
-    10242 calls for 278 distinct pairs, and uncached it checks 14% fewer
-    cells per second."""
-    base = rotation_between(np.frombuffer(v), np.frombuffer(u))
-    base.flags.writeable = False
-    return base
+def _alignment(u: bytes, sv: bytes, elements_b: bytes) -> _Alignment:
+    """The part of an alignment that depends on (u, sv, B) alone; a sweep
+    meets 2128 distinct ones in 10242 axis pairs."""
+    u_ = np.frombuffer(u)
+    base = rotation_between(np.frombuffer(sv), u_)
+    ws = _signed(_axes_of(elements_b)[0] @ base.T)
+    e1, e2 = _perpendicular(u_)
+    off = _off_axis(ws, e1, e2)
+    out = _Alignment(base, (ws @ u_)[off], _azimuths(ws[off], e1, e2))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _round9(d: np.ndarray) -> np.ndarray:
+    """``round(x, 9)`` of each finite element, bit for bit as Python
+    computes it.
+
+    Python rounds the exact value of x * 10**9 to an integer n, ties to even,
+    and returns the double nearest to n / 10**9.  The product in floating
+    point is off by at most half an ulp, under 1e-5 while |x * 10**9| < 1e11,
+    so ``rint`` finds the same n unless the fraction lies within 1e-5 of a
+    half; n and 1e9 are exact doubles, so the division rounds n / 10**9 once,
+    to nearest.  The elements left over take Python's ``round``.
+    """
+    y = d * 1e9
+    out = np.rint(y) / 1e9
+    rest = (np.abs(y - np.floor(y) - 0.5) < 1e-5) | (np.abs(y) >= 1e11)
+    if rest.any():
+        out[rest] = [round(x, 9) for x in d[rest].tolist()]
+    return out
 
 
 def _alignment_twists(A: MatrixGroup, B: MatrixGroup):
     """Yield (u, base, twists): the frames ``rotation(u, t) @ base``
     for t in twists, in order, for every representative axis pair."""
-    axes_b, reps_b, _ = _class_axes(B)
-    for ax in _class_axes(A)[2]:
-        for v in reps_b:
-            for sv in (v, -v):
-                base = _base(sv.tobytes(), ax.u.tobytes())
-                ws = _signed(axes_b @ base.T)
-                # Pairs of A- and B-axes at the same angle to u: twisting by
-                # their azimuth difference makes them coincide.
-                ia, ib = np.nonzero(
-                    (np.abs(ax.cosines[:, None] - ws @ ax.u) < 1e-6)
-                    & _off_axis(ws, ax.e1, ax.e2)
-                )
-                twists = set(_GENERIC_TWISTS)
-                if len(ib):
-                    az = np.zeros(len(ws))
-                    cols = np.unique(ib)
-                    az[cols] = _azimuths(ws[cols], ax.e1, ax.e2)
-                    diffs = set(((ax.azimuths[ia] - az[ib]) % (2 * pi)).tolist())
-                    twists.update(round(d, 9) for d in diffs)
-                yield ax.u, base, sorted(twists)
+    key_b = _elements_key(B)
+    signed_b = [sv.tobytes() for sv in _signed(_axes_of(key_b)[1])]
+    for ax in _axes_of(_elements_key(A))[2]:
+        for sv in signed_b:
+            al = _alignment(ax.key, sv, key_b)
+            # Pairs of A- and B-axes at the same angle to u: twisting by
+            # their azimuth difference makes them coincide.
+            ia, ib = np.nonzero(np.abs(ax.cosines[:, None] - al.cosines) < 1e-6)
+            twists = set(_GENERIC_TWISTS)
+            if len(ib):
+                twists.update(_round9((ax.azimuths[ia] - al.azimuths[ib]) % (2 * pi)).tolist())
+            yield ax.u, al.base, sorted(twists)
 
 
-def alignment_frames(A: MatrixGroup, B: MatrixGroup, max_frames: int = 20000) -> List[np.ndarray]:
-    """Curated frames: axis-to-axis alignments with twist angles that make
-    secondary axes coincide, plus generic twists that isolate single shared
-    axes.  The identity comes first; at most ``max(max_frames, 1)`` frames."""
+def alignment_frames(A: MatrixGroup, B: MatrixGroup, max_frames: int = 20000) -> np.ndarray:
+    """Curated frames as one (F, 3, 3) array: axis-to-axis alignments with
+    twist angles that make secondary axes coincide, plus generic twists that
+    isolate single shared axes.  The identity comes first; at most
+    ``max(max_frames, 1)`` frames."""
     room = max_frames - 1
     axes, bases, counts, angles = [], [], [], []
     for u, base, twists in _alignment_twists(A, B):
@@ -196,11 +252,10 @@ def alignment_frames(A: MatrixGroup, B: MatrixGroup, max_frames: int = 20000) ->
         bases.append(base)
         counts.append(len(twists))
         angles += twists
-    frames = [np.eye(3)]
-    if angles:
-        rots = rotations(np.repeat(axes, counts, axis=0), angles)
-        frames += list(rots @ np.repeat(bases, counts, axis=0))
-    return frames
+    if not angles:
+        return np.eye(3)[None]
+    rots = rotations(np.repeat(axes, counts, axis=0), angles)
+    return np.concatenate([np.eye(3)[None], rots @ np.repeat(bases, counts, axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -365,26 +420,49 @@ class VerificationReport:
         }
 
 
-def _classify_mask(A: MatrixGroup, BC_f: np.ndarray, member_mask: np.ndarray,
+class _NotClosed(Exception):
+    """A member subset that is not a group; raised, so never cached."""
+
+
+@functools.lru_cache(maxsize=2048)
+def _subset_class(elements: bytes, packed: bytes, tol: float) -> SubgroupClass:
+    """Class of the elements whose bits are set in ``packed`` (a
+    ``np.packbits`` member mask), if they are closed at ``tol``."""
+    # Looked up per call: perfbench's tracer wraps this name in the kernels
+    # module.
+    from .kernels import closure_ok
+
+    G = np.frombuffer(elements).reshape(-1, 3, 3)
+    mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=len(G)).astype(bool)
+    mats = np.ascontiguousarray(G[mask])
+    if not closure_ok(mats, tol):
+        raise _NotClosed
+    return classify(MatrixGroup(mats))
+
+
+def _classify_mask(elements: bytes, packed: bytes, BC_f: np.ndarray,
                    tol: float) -> SubgroupClass:
-    """Class of the elements of A in ``member_mask``; ``BC_f`` is the first
-    frame's conjugated B with that mask, used for the tight retry."""
+    """Class of the member subset ``packed`` of the group with these
+    elements; ``BC_f`` is the first frame's conjugated B with that mask,
+    used for the tight retry."""
+    try:
+        return _subset_class(elements, packed, tol)
+    except _NotClosed:
+        pass
     # Looked up per call: perfbench's tracer wraps these names in the
     # kernels module.
     from .kernels import closure_ok, membership
 
-    mats = np.ascontiguousarray(A.elements[member_mask])
+    # A frame near (but not on) an alignment manifold can match only part
+    # of a coset.  Genuine matches sit far below tol, so retry with a
+    # tightened tolerance before giving up.
+    G = np.frombuffer(elements).reshape(-1, 3, 3)
+    mats = np.ascontiguousarray(G[membership(G, BC_f, tol / 100.0)])
     if not closure_ok(mats, tol):
-        # A frame near (but not on) an alignment manifold can match only
-        # part of a coset.  Genuine matches sit far below tol, so retry
-        # with a tightened tolerance before giving up.
-        tight = membership(np.ascontiguousarray(A.elements), BC_f, tol / 100.0)
-        mats = np.ascontiguousarray(A.elements[tight])
-        if not closure_ok(mats, tol):
-            raise ValueError(
-                "intersection is not closed at either tolerance; "
-                "frame sits on a degenerate alignment"
-            )
+        raise ValueError(
+            "intersection is not closed at either tolerance; "
+            "frame sits on a degenerate alignment"
+        )
     return classify(MatrixGroup(mats))
 
 
@@ -411,22 +489,26 @@ def verify_clips(a: SubgroupClass, b: SubgroupClass, samples: int = 200,
     table = clips_pair(ctx, a, b)
     A, B = realize(a), realize(b)
     auto = alignments is None
-    curated = list(alignments) if alignments is not None else alignment_frames(A, B)
+    if auto:
+        curated = alignment_frames(A, B)
+    else:
+        curated = np.asarray(alignments, dtype=float).reshape(-1, 3, 3)
     rng = np.random.default_rng(seed)
-    randoms = list(random_rotations(samples, rng))
-    frames = curated + randoms
+    F = np.concatenate([curated, random_rotations(samples, rng)])
 
-    F = np.array(frames, dtype=float).reshape(-1, 3, 3)
     BC = _conjugates(F, B.elements)
     masks = batch_membership(np.ascontiguousarray(A.elements), BC, tol)
     # Classify each distinct mask once, visiting them in the order of their
     # first frame: the first frame to reach a class stays its witness.
-    _, first = np.unique(np.packbits(masks, axis=1), axis=0, return_index=True)
+    packed = np.packbits(masks, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    key = _elements_key(A)
     witnesses: Dict[SubgroupClass, np.ndarray] = {}
     for f_idx in np.sort(first):
-        c = _classify_mask(A, BC[f_idx], masks[f_idx], tol)
+        c = _classify_mask(key, packed[f_idx].tobytes(), BC[f_idx], tol)
         if c not in witnesses:
-            witnesses[c] = frames[f_idx]
+            witnesses[c] = F[f_idx].copy()
     if auto:
         for target in table:
             if target not in witnesses:

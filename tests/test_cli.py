@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from isoclips.cli import run
 
 
@@ -179,3 +181,11 @@ class TestVerify:
 
     def test_infinite_class_errors(self, capsys):
         assert run(["verify", "SO(2)", "Z4"]) == 1
+
+    @pytest.mark.parametrize("option,value", [("--samples", "-1"), ("--seed", "-3")])
+    def test_negative_option_is_usage_error(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "Z6", "Z4", option, value])
+        assert exc.value.code == 2
+        _, err = out_of(capsys)
+        assert "non-negative integer" in err and "Traceback" not in err

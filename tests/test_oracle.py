@@ -279,7 +279,7 @@ class TestVerifyClips:
         # intersection has that class (with the same tight retry).
         A, B = realize(a), realize(b)
         curated = alignment_frames(A, B)
-        frames = curated + list(random_rotations(200, np.random.default_rng(seed)))
+        frames = list(curated) + list(random_rotations(200, np.random.default_rng(seed)))
         first = {}
         for f in frames:
             Bf = B.conjugate(f)
@@ -302,13 +302,97 @@ class TestVerifyClips:
             assert np.array_equal(np.array(capped), np.array(full[:len(capped)]))
 
 
+
+class TestSweepCaches:
+    """The per-process caches of ``verify`` give what a fresh computation
+    gives, whatever ran before."""
+
+    @staticmethod
+    def _clear():
+        from isoclips.oracle import verify
+
+        for cache in (verify._subset_class, verify._alignment, verify._axes_of,
+                      verify._interned):
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("a,b", [
+        (ICO, OCTA), (TETRA, TETRA), (OCTA_MINUS, OCTA_MINUS), (d_h(6), d_v(4)),
+    ], ids=str)
+    def test_subset_class_equals_direct_classify(self, a, b):
+        from isoclips.oracle.verify import _NotClosed, _elements_key, _subset_class
+
+        self._clear()
+        A, B = realize(a), realize(b)
+        frames = np.concatenate(
+            [alignment_frames(A, B), random_rotations(200, np.random.default_rng(0))]
+        )
+        BC = np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames)
+        masks = np.unique(batch_membership(A.elements, BC, MATCH_TOL), axis=0)
+        key = _elements_key(A)
+        for mask in masks:
+            packed = np.packbits(mask).tobytes()
+            mats = np.ascontiguousarray(A.elements[mask])
+            for _ in range(2):  # a miss, then a hit
+                if closure_ok(mats, MATCH_TOL):
+                    assert _subset_class(key, packed, MATCH_TOL) == classify(MatrixGroup(mats))
+                else:
+                    with pytest.raises(_NotClosed):
+                        _subset_class(key, packed, MATCH_TOL)
+        assert _subset_class.cache_info().hits > 0
+
+    def test_open_subset_takes_its_own_tight_retry(self):
+        from isoclips.oracle.verify import _classify_mask, _elements_key, _subset_class
+
+        self._clear()
+        A = realize(OCTA)
+        quarter = np.abs(A.elements - rotation([0, 0, 1], pi / 2)).max(axis=(1, 2)) < 1e-12
+        identity = np.abs(A.elements - np.eye(3)).max(axis=(1, 2)) < 1e-12
+        mask = quarter | identity  # {1, r}: not closed, r^2 is missing
+        assert mask.sum() == 2
+        key, packed = _elements_key(A), np.packbits(mask).tobytes()
+        # The same subset with three different frames: each frame's own
+        # conjugated B decides the tight retry.
+        Z4, Z2 = realize(cyclic(4)).elements, realize(cyclic(2)).elements
+        assert _classify_mask(key, packed, Z4, MATCH_TOL) == cyclic(4)
+        assert _classify_mask(key, packed, Z2, MATCH_TOL) == cyclic(2)
+        with pytest.raises(ValueError):
+            _classify_mask(key, packed, A.elements[mask], MATCH_TOL)
+        assert _classify_mask(key, packed, Z4, MATCH_TOL) == cyclic(4)
+        assert _subset_class.cache_info().currsize == 0
+
+    def test_reports_do_not_depend_on_cell_order(self):
+        classes = [TRIV, TETRA, OCTA, ICO, OCTA_MINUS]
+        classes += [cyclic(n) for n in (2, 3, 4, 6)] + [dihedral(n) for n in (2, 3, 5, 6)]
+        classes += [z_minus(4), d_v(3), d_h(8)]
+        cells = [(a, b) for i, a in enumerate(classes) for b in classes[i:]][:60]
+        assert len(cells) == 60
+        self._clear()
+        forward = [verify_clips(a, b, samples=200, seed=4).to_json() for a, b in cells]
+        backward = [verify_clips(a, b, samples=200, seed=4).to_json() for a, b in cells[::-1]]
+        assert forward == backward[::-1]
+
+    def test_round9_is_python_round(self):
+        from isoclips.oracle.verify import _round9
+
+        rng = np.random.default_rng(9)
+        ties = (rng.integers(0, 6_283_185_307, 20000) + 0.5) / 1e9
+        d = np.concatenate([
+            rng.uniform(0.0, 2 * pi, 100000),
+            rng.uniform(-50.0, 50.0, 20000),
+            ties, np.nextafter(ties, 0.0), np.nextafter(ties, 7.0),
+            [0.0, -0.0, 2.0**-10, 2.0**-11, -(2.0**-10), 1e-12, -1e-12,
+             2 * pi, 1e3, 1e12, -1e12],
+        ])
+        expected = np.array([round(x, 9) for x in d.tolist()])
+        assert np.array_equal(_round9(d).view(np.int64), expected.view(np.int64))
+
 class TestKernels:
     def test_batch_matches_per_frame_membership(self):
         # Alignment frames put exact matches in the batch; the entrywise
         # membership kernel is the reference for the Frobenius test.
         A, B = realize(ICO), realize(OCTA)
-        frames = np.array(
-            alignment_frames(A, B) + list(random_rotations(200, np.random.default_rng(5)))
+        frames = np.concatenate(
+            [alignment_frames(A, B), random_rotations(200, np.random.default_rng(5))]
         )
         BC = np.ascontiguousarray(np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames))
         masks = batch_membership(A.elements, BC, MATCH_TOL)
