@@ -3,8 +3,9 @@
 Subcommands: ``clips``, ``isotropy``, ``irrep``, ``decompose``, ``poset``,
 ``verify``.  Exit codes: 0 success, 1 invalid input (a class not admissible
 in the context, an infinite class given to ``verify``, a negative ``irrep``
-degree), 2 parse or usage error, 3 unsupported operation (mixed -I action /
-type II clips), 4 oracle verdict fail.
+degree, a ``--dot`` path that cannot be written), 2 parse or usage error,
+3 unsupported operation (mixed -I action / type II clips), 4 oracle verdict
+fail.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except UnsupportedClipsError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ContextError, ValueError) as exc:
+    except (ContextError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

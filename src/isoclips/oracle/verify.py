@@ -11,25 +11,56 @@ observed intersection classes with the symbolic rule output:
   (completeness witnesses); a targeted subgroup-embedding search backs this
   up for stubborn cells.
 
+Only work that can change a report is done.
+
+* Conjugation keeps the ``invariants`` of an element, ``trace + 8 det``.
+  ``|tr X - tr Y| <= sqrt(3) ||X - Y||_F``, and a det mismatch gives
+  ``||X - Y||_F >= 2``, so an element of B whose invariant is farther than
+  ``match_window(tol)`` from every invariant of A lies over ``2 tol`` from
+  every element of A in every frame.  It can pass neither the Frobenius test
+  of ``batch_membership`` nor the entrywise test at ``tol / 100`` of the
+  tight retry (entrywise within t gives Frobenius within 3t), so only the
+  other elements are conjugated.  In a criterion-6 sweep they are 38.6% of
+  B's elements, and ``batch_membership`` compares the 12.2% of element
+  pairs whose invariants agree.
+* Frames go through in chunks of at most ``ROW_BUDGET`` (frame, element)
+  rows.  Each chunk's new masks are classified in the order of their first
+  frame, and masks seen in an earlier chunk are skipped, so each class keeps
+  its first frame as witness and each tight retry gets that frame's
+  conjugates, as without chunks.  What stays O(samples) is the frame array,
+  72 bytes a frame, and the cached random frames.
+
 A sweep over many cells repeats most of its work, so each distinct piece is
 done once per process and kept in a bounded cache that holds a full
 criterion-6 sweep.  Each cache is exact: its value is a function of its key
 alone, so a hit returns what the computation would.
 
-* ``_axes_of``: the characteristic axes, orbit representatives and azimuth
-  frames of a group, keyed on its element bytes.
+* ``_axes_of``: the characteristic axes of a group, keyed on its element
+  bytes; the azimuth frame of one axis u per orbit, as the interned bytes of
+  u, the cosines to u and the exact azimuths about u of the group's off-axis
+  signed axes; and the bytes of each representative in both signs.
+* ``_steps``: for an azimuth frame of A and the group B, the frames of each
+  alignment step: a signed B representative sent to u, then twisted about u
+  by the generic twists and by the azimuth differences of axes at equal
+  cosines.  The key holds every input of this, so classes with equal
+  azimuth frames share entries.  A sweep meets 1248 distinct keys, which
+  cover its 10242 steps.
+* ``_frame_block``: the frames ``rotation(u, t) @ base`` over a step's
+  twists, keyed on the bytes of u, base and the twists, so steps with equal
+  ones share one array.  A sweep's 163775 curated frames come from 868
+  blocks of 25541 frames in all.
+* ``_random_frames``: ``random_rotations(samples, default_rng(seed))``, a
+  function of (samples, seed); every cell at one seed draws the same frames.
+  It keeps two keys, as the array grows with ``samples``.
+* ``_sorted_invariants``: the invariants of a group's elements, in order,
+  keyed on its element bytes.
 * ``_subset_class``: the class of a member subset, keyed on the group's
   element bytes, the packed member mask and ``tol``.  The subset determines
   both the closure test and the class.  A subset that is not closed is
   never cached: its tight retry depends on the frame that produced it.
   A sweep classifies 544 distinct subsets in 5155 distinct per-cell masks.
-* ``_alignment``: for an A axis ``u``, a signed B axis ``sv`` and the group
-  B, the rotation sending ``sv`` to ``u`` and B's rotated axes with their
-  cosines and exact azimuths about ``u``.  These depend on (u, sv, B) alone;
-  only the match against A's axes is left per cell.  A sweep meets 2128
-  distinct ones in 10242 axis pairs.
-* ``_interned``: one shared copy of each element array's bytes, so that the
-  keys above do not copy a group once per cell.
+* ``_interned``: one shared copy of each element array's and azimuth
+  frame's bytes, so that the keys above do not copy them once per cell.
 """
 
 from __future__ import annotations
@@ -45,10 +76,12 @@ import numpy as np
 from ..clips import clips_pair
 from ..groups import ClassSet, Context, SubgroupClass, render_class
 from .classify import classify, rotation_axis_angle
-from .kernels import batch_membership, mult_table
+from .kernels import ROW_BUDGET, batch_membership, invariants, match_window, mult_table
 from .realize import MATCH_TOL, MatrixGroup, intersect, realize, rotation, rotations
 
 _GENERIC_TWISTS = (0.0, 0.6180339887498949, 1.8392867552141612)
+_IDENTITY = np.eye(3)[None]
+_IDENTITY.flags.writeable = False
 
 
 def random_rotations(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -66,6 +99,14 @@ def random_rotations(count: int, rng: np.random.Generator) -> np.ndarray:
     )
 
 
+def _cross(a, b) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, with the same products and
+    differences, without its array set-up."""
+    a0, a1, a2 = (float(x) for x in a)
+    b0, b1, b2 = (float(x) for x in b)
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def rotation_between(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A rotation sending unit vector v to unit vector u."""
     c = float(np.clip(v @ u, -1.0, 1.0))
@@ -73,11 +114,11 @@ def rotation_between(v: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.eye(3)
     if c < -1.0 + 1e-12:
         # Half turn about any axis perpendicular to v.
-        perp = np.cross(v, [1.0, 0.0, 0.0])
+        perp = _cross(v, [1.0, 0.0, 0.0])
         if np.linalg.norm(perp) < 1e-8:
-            perp = np.cross(v, [0.0, 1.0, 0.0])
+            perp = _cross(v, [0.0, 1.0, 0.0])
         return rotation(perp, pi)
-    axis = np.cross(v, u)
+    axis = _cross(v, u)
     return rotation(axis, float(np.arccos(c)))
 
 
@@ -121,7 +162,7 @@ def _perpendicular(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         ref = np.array([0.0, 1.0, 0.0])
     e1 = ref - float(ref @ u) * u
     e1 /= np.linalg.norm(e1)
-    return e1, np.cross(u, e1)
+    return e1, _cross(u, e1)
 
 
 def _off_axis(ws: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -136,29 +177,37 @@ def _azimuths(ws: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return np.array([atan2(float(w @ e2), float(w @ e1)) for w in ws])
 
 
-@functools.lru_cache(maxsize=256)
-def _interned(elements: bytes) -> bytes:
-    """The first equal bytes object seen, so that the cache keys of every
-    realization of a class share one copy of its elements."""
-    return elements
+@functools.lru_cache(maxsize=1024)
+def _interned(content: bytes) -> bytes:
+    """The first equal bytes object seen, so that the cache keys made from
+    equal contents share one copy of them."""
+    return content
 
 
 def _elements_key(g: MatrixGroup) -> bytes:
     return _interned(np.ascontiguousarray(g.elements, dtype=float).tobytes())
 
 
-class _AxisFrame(NamedTuple):
-    """An orbit representative u (and its bytes), with the cosines to u and
-    the exact azimuths about u of the class's off-axis signed axes."""
+def _unpack_azimuth_frame(key: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, cosines, azimuths) from the bytes of an azimuth frame."""
+    data = np.frombuffer(key)
+    half = (len(data) - 3) // 2
+    return data[:3], data[3:3 + half], data[3 + half:]
 
-    u: np.ndarray
-    key: bytes
-    cosines: np.ndarray
-    azimuths: np.ndarray
+
+class _Axes(NamedTuple):
+    """Characteristic axes of a class; one azimuth frame per orbit: the
+    interned bytes of a representative u, the cosines to u and the exact
+    azimuths about u of the class's off-axis signed axes; and the bytes of
+    each representative in both signs."""
+
+    axes: np.ndarray
+    frames: Tuple[bytes, ...]
+    signed_reps: Tuple[bytes, ...]
 
 
 @functools.lru_cache(maxsize=256)
-def _axes_of(elements: bytes) -> Tuple[np.ndarray, np.ndarray, Tuple[_AxisFrame, ...]]:
+def _axes_of(elements: bytes) -> _Axes:
     """Characteristic axes of the group with these elements, one axis per
     orbit and the azimuth frame of each."""
     g = MatrixGroup(np.frombuffer(elements).reshape(-1, 3, 3))
@@ -169,35 +218,22 @@ def _axes_of(elements: bytes) -> Tuple[np.ndarray, np.ndarray, Tuple[_AxisFrame,
     for u in reps:
         e1, e2 = _perpendicular(u)
         ws = signed[_off_axis(signed, e1, e2)]
-        frames.append(_AxisFrame(u, u.tobytes(), ws @ u, _azimuths(ws, e1, e2)))
+        frames.append(_interned(u.tobytes() + (ws @ u).tobytes()
+                                + _azimuths(ws, e1, e2).tobytes()))
     # Cached results are shared by every caller.
-    for a in (axes, reps, *(a for f in frames for a in (f.u, f.cosines, f.azimuths))):
-        a.flags.writeable = False
-    return axes, reps, tuple(frames)
+    axes.flags.writeable = False
+    return _Axes(axes, tuple(frames), tuple(sv.tobytes() for sv in _signed(reps)))
 
 
-class _Alignment(NamedTuple):
-    """``base`` sends a signed B axis to u.  B's signed axes after it that
-    have an azimuth about u: their cosines to u and exact azimuths."""
-
-    base: np.ndarray
-    cosines: np.ndarray
-    azimuths: np.ndarray
-
-
-@functools.lru_cache(maxsize=4096)
-def _alignment(u: bytes, sv: bytes, elements_b: bytes) -> _Alignment:
-    """The part of an alignment that depends on (u, sv, B) alone; a sweep
-    meets 2128 distinct ones in 10242 axis pairs."""
-    u_ = np.frombuffer(u)
-    base = rotation_between(np.frombuffer(sv), u_)
-    ws = _signed(_axes_of(elements_b)[0] @ base.T)
-    e1, e2 = _perpendicular(u_)
+def _alignment(u: np.ndarray, sv: np.ndarray, elements_b: bytes):
+    """``base`` sending the signed B axis ``sv`` to u; then, of B's signed
+    axes after ``base``, those with an azimuth about u: their cosines to u
+    and exact azimuths."""
+    base = rotation_between(sv, u)
+    ws = _signed(_axes_of(elements_b).axes @ base.T)
+    e1, e2 = _perpendicular(u)
     off = _off_axis(ws, e1, e2)
-    out = _Alignment(base, (ws @ u_)[off], _azimuths(ws[off], e1, e2))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return base, (ws @ u)[off], _azimuths(ws[off], e1, e2)
 
 
 def _round9(d: np.ndarray) -> np.ndarray:
@@ -219,21 +255,37 @@ def _round9(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _alignment_twists(A: MatrixGroup, B: MatrixGroup):
-    """Yield (u, base, twists): the frames ``rotation(u, t) @ base``
-    for t in twists, in order, for every representative axis pair."""
-    key_b = _elements_key(B)
-    signed_b = [sv.tobytes() for sv in _signed(_axes_of(key_b)[1])]
-    for ax in _axes_of(_elements_key(A))[2]:
-        for sv in signed_b:
-            al = _alignment(ax.key, sv, key_b)
-            # Pairs of A- and B-axes at the same angle to u: twisting by
-            # their azimuth difference makes them coincide.
-            ia, ib = np.nonzero(np.abs(ax.cosines[:, None] - al.cosines) < 1e-6)
-            twists = set(_GENERIC_TWISTS)
-            if len(ib):
-                twists.update(_round9((ax.azimuths[ia] - al.azimuths[ib]) % (2 * pi)).tolist())
-            yield ax.u, al.base, sorted(twists)
+@functools.lru_cache(maxsize=2048)
+def _frame_block(block: bytes) -> np.ndarray:
+    """The frames ``rotation(u, t) @ base`` for t in twists, in order, from
+    the bytes of u, base and the twists."""
+    data = np.frombuffer(block)
+    u, base, twists = data[:3], data[3:12], data[12:]
+    k = len(twists)
+    rots = rotations(np.repeat(u[None], k, axis=0), twists.tolist())
+    out = rots @ np.repeat(base.reshape(1, 3, 3), k, axis=0)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=2048)
+def _steps(azimuth_frame: bytes, elements_b: bytes) -> Tuple[np.ndarray, ...]:
+    """The frames of each alignment step from an azimuth frame of A, about
+    its axis u, into B: one block per signed B axis representative sv, in
+    order, of sv sent to u and then twisted about u."""
+    u, cosines, azimuths = _unpack_azimuth_frame(azimuth_frame)
+    blocks = []
+    for sv in _axes_of(elements_b).signed_reps:
+        base, b_cosines, b_azimuths = _alignment(u, np.frombuffer(sv), elements_b)
+        # Pairs of A- and B-axes at the same angle to u: twisting by their
+        # azimuth difference makes them coincide.
+        ia, ib = np.nonzero(np.abs(cosines[:, None] - b_cosines) < 1e-6)
+        twists = set(_GENERIC_TWISTS)
+        if len(ib):
+            twists.update(_round9((azimuths[ia] - b_azimuths[ib]) % (2 * pi)).tolist())
+        blocks.append(_frame_block(u.tobytes() + base.tobytes()
+                                   + np.array(sorted(twists)).tobytes()))
+    return tuple(blocks)
 
 
 def alignment_frames(A: MatrixGroup, B: MatrixGroup, max_frames: int = 20000) -> np.ndarray:
@@ -241,21 +293,16 @@ def alignment_frames(A: MatrixGroup, B: MatrixGroup, max_frames: int = 20000) ->
     twist angles that make secondary axes coincide, plus generic twists that
     isolate single shared axes.  The identity comes first; at most
     ``max(max_frames, 1)`` frames."""
+    key_b = _elements_key(B)
+    blocks = [_IDENTITY]
     room = max_frames - 1
-    axes, bases, counts, angles = [], [], [], []
-    for u, base, twists in _alignment_twists(A, B):
+    steps = (_steps(frame, key_b) for frame in _axes_of(_elements_key(A)).frames)
+    for block in itertools.chain.from_iterable(steps):
         if room <= 0:
             break
-        twists = twists[:room]
-        room -= len(twists)
-        axes.append(u)
-        bases.append(base)
-        counts.append(len(twists))
-        angles += twists
-    if not angles:
-        return np.eye(3)[None]
-    rots = rotations(np.repeat(axes, counts, axis=0), angles)
-    return np.concatenate([np.eye(3)[None], rots @ np.repeat(bases, counts, axis=0)])
+        blocks.append(block[:room])
+        room -= len(blocks[-1])
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +514,47 @@ def _classify_mask(elements: bytes, packed: bytes, BC_f: np.ndarray,
 
 
 def _conjugates(F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """(frames, len(G), 3, 3) array of F[f] @ G[n] @ F[f].T.
+    """(frames, len(G), 3, 3) array of F[f] @ G[n] @ F[f].T, stored with
+    each element's frames contiguous, as ``batch_membership`` reads them.
 
-    Row-major ``vec(f X f^T) = (f kron f) vec(X)``, so each frame is one
-    (len(G), 9) x (9, 9) matrix product, written straight into the result.
+    Row-major ``vec(f X f^T) = (f kron f) vec(X)``, so all frames are one
+    (len(G), 9) x (9, 9 frames) matrix product.
     """
-    out = np.empty((len(F), len(G), 3, 3))
-    kron = np.einsum("fab,fdc->fbcad", F, F).reshape(-1, 9, 9)
-    np.matmul(G.reshape(-1, 9), kron, out=out.reshape(len(F), len(G), 9))
+    kron = np.einsum("fab,fdc->bcfad", F, F).reshape(9, 9 * len(F))
+    out = G.reshape(-1, 9) @ kron
+    return out.reshape(len(G), len(F), 3, 3).swapaxes(0, 1)
+
+
+@functools.lru_cache(maxsize=2)
+def _random_frames(samples: int, seed: int) -> np.ndarray:
+    """The seed's random frames: every cell of a sweep draws the same ones."""
+    out = random_rotations(samples, np.random.default_rng(seed))
+    out.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _sorted_invariants(elements: bytes) -> Tuple[np.ndarray, np.ndarray]:
+    """The invariants of the group's elements in increasing order, and the
+    element order that sorts them."""
+    s = invariants(np.frombuffer(elements))
+    order = np.argsort(s, kind="stable")
+    out = s[order], order
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _needed(key_a: bytes, key_b: bytes, tol: float) -> np.ndarray:
+    """Indices of B's elements whose invariants come within
+    ``match_window(tol)`` of an element of A, sorted by invariant."""
+    sa = _sorted_invariants(key_a)[0]
+    sb, order = _sorted_invariants(key_b)
+    window = match_window(tol)
+    # The least invariant of A at or above sb - window is within the window
+    # of sb if any is.
+    near = np.minimum(np.searchsorted(sa, sb - window), len(sa) - 1)
+    return order[np.abs(sa[near] - sb) <= window]
 
 
 def verify_clips(a: SubgroupClass, b: SubgroupClass, samples: int = 200,
@@ -493,22 +572,32 @@ def verify_clips(a: SubgroupClass, b: SubgroupClass, samples: int = 200,
         curated = alignment_frames(A, B)
     else:
         curated = np.asarray(alignments, dtype=float).reshape(-1, 3, 3)
-    rng = np.random.default_rng(seed)
-    F = np.concatenate([curated, random_rotations(samples, rng)])
+    F = np.concatenate([curated, _random_frames(samples, seed)])
 
-    BC = _conjugates(F, B.elements)
-    masks = batch_membership(np.ascontiguousarray(A.elements), BC, tol)
-    # Classify each distinct mask once, visiting them in the order of their
-    # first frame: the first frame to reach a class stays its witness.
-    packed = np.packbits(masks, axis=1)
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first = np.unique(rows, return_index=True)
     key = _elements_key(A)
+    elements_a = np.ascontiguousarray(A.elements)
+    # Only these elements of B can match an element of A in any frame.
+    B_needed = np.ascontiguousarray(B.elements[_needed(key, _elements_key(B), tol)])
+    # Classify each distinct mask once, visiting them in the order of their
+    # first frame, chunk after chunk: the first frame to reach a class stays
+    # its witness.
     witnesses: Dict[SubgroupClass, np.ndarray] = {}
-    for f_idx in np.sort(first):
-        c = _classify_mask(key, packed[f_idx].tobytes(), BC[f_idx], tol)
-        if c not in witnesses:
-            witnesses[c] = F[f_idx].copy()
+    seen = set()
+    step = max(1, ROW_BUDGET // len(B_needed))
+    for start in range(0, len(F), step):
+        frames = F[start:start + step]
+        BC = _conjugates(frames, B_needed)
+        packed = np.packbits(batch_membership(elements_a, BC, tol), axis=1)
+        rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first = np.unique(rows, return_index=True)
+        for f_idx in np.sort(first):
+            mask = packed[f_idx].tobytes()
+            if mask in seen:
+                continue
+            seen.add(mask)
+            c = _classify_mask(key, mask, BC[f_idx], tol)
+            if c not in witnesses:
+                witnesses[c] = frames[f_idx].copy()
     if auto:
         for target in table:
             if target not in witnesses:

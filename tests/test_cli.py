@@ -145,6 +145,17 @@ class TestPoset:
         assert data["edges"] == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["clips", "D2", "O(2)"], ["isotropy", "H2"], ["poset", "H1"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing/x.dot", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_dot_exit_1(argv, target, tmp_path, capsys):
+    assert run(argv + ["--dot", str(tmp_path / target)]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestVerify:
     def test_pass(self, capsys):
         assert run(["verify", "Z6", "Z4", "--samples", "200", "--seed", "7"]) == 0

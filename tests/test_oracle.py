@@ -273,12 +273,18 @@ class TestVerifyClips:
         (TETRA, TETRA, 1),
         (OCTA_MINUS, OCTA_MINUS, 2),
         (d_h(6), d_v(4), 3),
+        (ICO, ICO, 0),
     ], ids=str)
     def test_witness_is_first_frame_of_its_class(self, a, b, seed):
         # Per-frame reference: each class's witness is the first frame whose
         # intersection has that class (with the same tight retry).
+        from isoclips.oracle.kernels import ROW_BUDGET
+
         A, B = realize(a), realize(b)
         curated = alignment_frames(A, B)
+        if a == b == ICO:  # 964 frames: verify_clips takes them in many chunks
+            assert len(curated) + 200 == 964
+            assert 964 * B.order > 10 * ROW_BUDGET
         frames = list(curated) + list(random_rotations(200, np.random.default_rng(seed)))
         first = {}
         for f in frames:
@@ -292,6 +298,20 @@ class TestVerifyClips:
         assert rep.observed == ClassSet(first)
         for c, f in first.items():
             assert np.allclose(rep.witnesses[c], f, rtol=0.0, atol=1e-12), c
+
+    def test_memory_is_bounded_by_the_frame_array(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            rep = verify_clips(ICO, ICO, samples=50_000, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "pass"
+        # Frames go through in chunks; all (frames, |B|) conjugates at once
+        # would take 440 MB.
+        assert peak < 40 * 2**20
 
     def test_alignment_frames_cap(self):
         A, B = realize(ICO), realize(OCTA)
@@ -311,8 +331,9 @@ class TestSweepCaches:
     def _clear():
         from isoclips.oracle import verify
 
-        for cache in (verify._subset_class, verify._alignment, verify._axes_of,
-                      verify._interned):
+        for cache in (verify._subset_class, verify._steps, verify._frame_block,
+                      verify._axes_of, verify._interned, verify._random_frames,
+                      verify._sorted_invariants):
             cache.cache_clear()
 
     @pytest.mark.parametrize("a,b", [
@@ -359,6 +380,29 @@ class TestSweepCaches:
             _classify_mask(key, packed, A.elements[mask], MATCH_TOL)
         assert _classify_mask(key, packed, Z4, MATCH_TOL) == cyclic(4)
         assert _subset_class.cache_info().currsize == 0
+
+    def test_cold_alignment_frames_equal_warm(self):
+        classes = [TRIV, TETRA, OCTA, ICO, OCTA_MINUS, cyclic(3), dihedral(4),
+                   z_minus(6), d_v(5), d_h(6)]
+        cells = [(a, b) for i, a in enumerate(classes) for b in classes[i:]]
+        cold = []
+        for a, b in cells:
+            self._clear()
+            cold.append(alignment_frames(realize(a), realize(b)))
+        for a, b in cells:
+            verify_clips(a, b, samples=20, seed=1)
+        for (a, b), frames in zip(cells, cold):
+            warm = alignment_frames(realize(a), realize(b))
+            assert np.array_equal(warm.view(np.int64), frames.view(np.int64)), (a, b)
+
+    def test_random_frames_are_the_seeds(self):
+        from isoclips.oracle.verify import _random_frames
+
+        self._clear()
+        for samples, seed in [(200, 0), (7, 3), (200, 0), (0, 5)]:
+            fresh = random_rotations(samples, np.random.default_rng(seed))
+            assert np.array_equal(_random_frames(samples, seed), fresh)
+        assert _random_frames.cache_info().hits == 1
 
     def test_reports_do_not_depend_on_cell_order(self):
         classes = [TRIV, TETRA, OCTA, ICO, OCTA_MINUS]
@@ -432,10 +476,57 @@ class TestKernels:
             tracemalloc.stop()
         assert peak < 20 * 2**20
 
+    @pytest.mark.parametrize("tol", [MATCH_TOL, 1e-3], ids=str)
+    @pytest.mark.parametrize("a,b", [
+        (OCTA_MINUS, d_h(6)),
+        (d_h(6), type_ii(ICO)),
+        (type_ii(ICO), OCTA_MINUS),
+        (cyclic(5), ICO),  # B has third and half turns, A has neither
+        (TETRA, OCTA_MINUS),  # B's improper elements have no match in A
+        (ICO, ICO),  # more rows than ROW_BUDGET: several blocks of frames
+    ], ids=str)
+    def test_blocked_batch_equals_entrywise_reference(self, a, b, tol):
+        from isoclips.oracle.verify import _conjugates
+
+        A, B = realize(a), realize(b)
+        frames = np.concatenate(
+            [alignment_frames(A, B), random_rotations(100, np.random.default_rng(8))]
+        )
+        # Frame-major and element-major layouts, with B unsorted.
+        BC = np.ascontiguousarray(np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames))
+        expected = np.array([membership(A.elements, bc, tol) for bc in BC])
+        assert np.array_equal(batch_membership(A.elements, BC, tol), expected)
+        BC = _conjugates(frames, B.elements)
+        assert np.array_equal(batch_membership(A.elements, BC, tol), expected)
+        assert expected[0].any() and not expected.all()
+
+    @pytest.mark.parametrize("a,b", [
+        (cyclic(5), ICO), (TETRA, OCTA_MINUS), (d_v(4), d_h(8)), (z_minus(6), OCTA),
+    ], ids=str)
+    def test_unneeded_elements_never_match(self, a, b):
+        from isoclips.oracle.verify import _conjugates, _elements_key, _needed
+
+        A, B = realize(a), realize(b)
+        needed = _needed(_elements_key(A), _elements_key(B), MATCH_TOL)
+        assert 0 < len(needed) < B.order
+        frames = np.concatenate(
+            [alignment_frames(A, B), random_rotations(200, np.random.default_rng(6))]
+        )
+        full = batch_membership(A.elements, _conjugates(frames, B.elements), MATCH_TOL)
+        part = batch_membership(
+            A.elements, _conjugates(frames, B.elements[needed]), MATCH_TOL)
+        assert np.array_equal(part, full)
+
     def test_batch_rejects_tight_tolerance(self):
         A = realize(OCTA).elements
         with pytest.raises(ValueError):
             batch_membership(A, A[None], tol=1e-8)
+
+    def test_batch_rejects_loose_tolerance(self):
+        # At tol >= 1 the invariant window no longer separates determinants.
+        A = realize(OCTA).elements
+        with pytest.raises(ValueError):
+            batch_membership(A, A[None], tol=1.0)
 
     def test_alignment_frames_are_rotations(self):
         frames = alignment_frames(realize(TETRA), realize(dihedral(3)))
