@@ -19,6 +19,7 @@ from .groups import (
     ClassSet,
     Context,
     ContextError,
+    HasseEdges,
     SubgroupClass,
     UnsupportedClipsError,
     hasse,
@@ -111,7 +112,7 @@ def _sum_forces_o3(content: HarmonicSum) -> bool:
 def _emit_classes(result: ClassSet, ctx: Context, as_json: bool,
                   dot: Optional[str]) -> None:
     if dot:
-        _write_dot(result, ctx, dot)
+        _write_dot(result, hasse(result, ctx), dot)
     if as_json:
         print(json.dumps(
             {"context": ctx.value, "classes": [render_class(c) for c in result]}
@@ -120,8 +121,7 @@ def _emit_classes(result: ClassSet, ctx: Context, as_json: bool,
         print(result.render())
 
 
-def _write_dot(result: ClassSet, ctx: Context, path: str) -> None:
-    edges = hasse(result, ctx)
+def _write_dot(result: ClassSet, edges: HasseEdges, path: str) -> None:
     lonely = [c for c in result
               if not any(c in e for e in edges)]
     lines = ["digraph {"]
@@ -181,7 +181,7 @@ def _cmd_poset(args) -> int:
     result = isotropy_classes(RepSpec(ctx, content))
     edges = hasse(result, ctx)
     if args.dot:
-        _write_dot(result, ctx, args.dot)
+        _write_dot(result, edges, args.dot)
     if args.json:
         print(json.dumps({
             "context": ctx.value,

@@ -459,9 +459,13 @@ def clips_pair(ctx: Context, a: SubgroupClass, b: SubgroupClass) -> ClassSet:
 
 
 def clips_sets(ctx: Context, f1: ClassSet, f2: ClassSet) -> ClassSet:
-    """Union of pairwise clips of two class families."""
+    """Union of pairwise clips of two class families.
+
+    One cached ``clips_pair_detailed`` lookup per class pair; the loop runs
+    over the families' class tuples, so no Python-level dunder is called.
+    """
     out: List[SubgroupClass] = []
-    for a in f1:
-        for b in f2:
-            out.extend(clips_pair(ctx, a, b))
+    for a in f1.classes:
+        for b in f2.classes:
+            out.extend(clips_pair_detailed(ctx, a, b).result.classes)
     return ClassSet(out)

@@ -1,7 +1,7 @@
 """Conjugacy classes of closed subgroups of SO(3) and O(3).
 
-Classes are immutable, canonical-on-construction values.  A closed subgroup
-class is one of:
+Classes are immutable, canonical-on-construction, tuple-backed values.  A
+closed subgroup class is one of:
 
 * type I (rotation groups): ``1``, ``Zn``, ``Dn``, ``T``, ``O``, ``I``,
   ``SO(2)``, ``O(2)``, ``SO(3)``;
@@ -18,9 +18,8 @@ parameter ``2n``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 
 class Context(Enum):
@@ -80,9 +79,12 @@ _TYPE_III = frozenset({ZMINUS_K, DV_K, DH_K, OCTA_MINUS_K, O2_MINUS_K})
 _INFINITE = frozenset({SO2_K, O2_K, SO3_K, O2_MINUS_K})
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
-    """Canonical label of a conjugacy class of a closed O(3) subgroup."""
+class SubgroupClass(NamedTuple):
+    """Canonical label of a conjugacy class of a closed O(3) subgroup.
+
+    Tuple-backed, so hashing and equality run on the field tuple in C.  The
+    four order comparisons follow ``sort_key``, not the raw fields.
+    """
 
     kind: str
     n: Optional[int] = None
@@ -93,7 +95,16 @@ class SubgroupClass:
         return (_RANK[self.kind], self.n or 0, inner_key)
 
     def __lt__(self, other: "SubgroupClass") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self.sort_key() < _other_key(other)
+
+    def __le__(self, other: "SubgroupClass") -> bool:
+        return self.sort_key() <= _other_key(other)
+
+    def __gt__(self, other: "SubgroupClass") -> bool:
+        return self.sort_key() > _other_key(other)
+
+    def __ge__(self, other: "SubgroupClass") -> bool:
+        return self.sort_key() >= _other_key(other)
 
     def __str__(self) -> str:
         return render_class(self)
@@ -142,6 +153,14 @@ class SubgroupClass:
         if self.kind == ICO_K:
             return 60
         return 2 * self.inner.order()
+
+
+def _other_key(other) -> tuple:
+    # A plain tuple would otherwise compare by its raw fields.
+    if not isinstance(other, SubgroupClass):
+        raise TypeError(
+            f"cannot order a subgroup class against {type(other).__name__}")
+    return other.sort_key()
 
 
 TRIV = SubgroupClass(TRIV_K)

@@ -93,18 +93,22 @@ def _ico_elements_cached() -> np.ndarray:
     # Closure of a vertex 3-fold and a face 5-fold of the dodecahedron with
     # vertices (+-1,+-1,+-1), (0,+-phi,+-1/phi) and cyclic permutations.
     gens = [rotation((1, 1, 1), 2 * pi / 3), rotation((PHI, 0.0, 1.0), 2 * pi / 5)]
-    mats = [np.eye(3)]
+    # Each candidate is compared against all elements found so far at once.
+    mats = np.empty((60, 3, 3))
+    mats[0] = np.eye(3)
+    count = 1
     frontier = list(gens)
     while frontier:
         m = frontier.pop()
-        if any(np.abs(m - o).max() <= ORTHO_TOL for o in mats):
+        if (np.abs(mats[:count] - m).max(axis=(1, 2)) <= ORTHO_TOL).any():
             continue
-        mats.append(m)
+        mats[count] = m
+        count += 1
         for g in gens:
             frontier.append(g @ m)
             frontier.append(m @ g)
-    assert len(mats) == 60
-    return np.array(mats)
+    assert count == 60
+    return mats
 
 
 def _minus_coset(L: np.ndarray, H: np.ndarray) -> np.ndarray:

@@ -126,6 +126,25 @@ class TestPoset:
         assert text.count("->") == 10
         assert '"1" -> "Z2";' in text
 
+    def test_dot_computes_hasse_once(self, tmp_path, capsys, monkeypatch):
+        import isoclips.cli as cli
+
+        real_hasse = cli.hasse
+        calls = []
+
+        def counting_hasse(*args):
+            calls.append(args)
+            return real_hasse(*args)
+
+        monkeypatch.setattr(cli, "hasse", counting_hasse)
+        path = tmp_path / "ela.dot"
+        assert run(["poset", "H4 + 2*H2 + 2*H0", "--dot", str(path)]) == 0
+        out, _ = out_of(capsys)
+        assert len(calls) == 1
+        edges = [line.replace('"', "").rstrip(";").strip()
+                 for line in path.read_text().splitlines() if "->" in line]
+        assert edges == out.splitlines()
+
     def test_dot_singleton_keeps_node(self, tmp_path, capsys):
         path = tmp_path / "h0.dot"
         run(["poset", "H0", "--dot", str(path)])

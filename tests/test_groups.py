@@ -1,3 +1,6 @@
+import itertools
+import operator
+
 import pytest
 
 from isoclips import (
@@ -26,6 +29,7 @@ from isoclips import (
     type_ii,
     z_minus,
 )
+from isoclips.groups import SubgroupClass
 
 
 class TestNormalize:
@@ -209,3 +213,60 @@ class TestHasse:
             (O2, SO3),
         ]
         assert sorted(edges) == sorted(expected)
+
+
+def _value_classes():
+    """Criterion 6's finite classes up to 12, the continuous classes, and
+    the type II lift of every type I class among them."""
+    finite = [TRIV, TETRA, OCTA, ICO, OCTA_MINUS]
+    finite += [cyclic(n) for n in range(2, 13)]
+    finite += [dihedral(n) for n in range(2, 13)]
+    finite += [z_minus(p) for p in range(2, 13, 2)]
+    finite += [d_v(n) for n in range(2, 13)]
+    finite += [d_h(p) for p in range(4, 13, 2)]
+    base = finite + [SO2, O2, SO3, O2_MINUS]
+    return base + [type_ii(c) for c in base if c.is_type_i]
+
+
+class TestClassValue:
+    OPS = [operator.lt, operator.le, operator.gt, operator.ge]
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+    def test_order_operators_follow_sort_key(self, op):
+        classes = _value_classes()
+        for a, b in itertools.product(classes, repeat=2):
+            assert op(a, b) == op(a.sort_key(), b.sort_key()), (op, a, b)
+
+    def test_max_min_sorted_are_canonical(self):
+        # Raw fields would put I ("ico") after D2^v ("dv").
+        assert max([ICO, d_v(2)]) == d_v(2)
+        assert min([d_v(2), ICO]) == ICO
+        classes = _value_classes()
+        assert sorted(reversed(classes)) == sorted(classes, key=SubgroupClass.sort_key)
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+    def test_order_against_plain_tuple_raises(self, op):
+        for other in (("ico", None, None), 3):
+            with pytest.raises(TypeError):
+                op(ICO, other)
+            with pytest.raises(TypeError):
+                op(other, ICO)
+
+    def test_hash_and_eq_consistent(self):
+        classes = _value_classes()
+        assert len(set(classes)) == len(classes)
+        for a, b in itertools.product(classes, repeat=2):
+            assert (a == b) == (a.sort_key() == b.sort_key()), (a, b)
+            assert (a != b) == (a.sort_key() != b.sort_key()), (a, b)
+        for c in classes:
+            twin = parse_class(render_class(c))
+            assert twin == c and hash(twin) == hash(c)
+            assert {c: 1}[twin] == 1
+
+    def test_fields_are_read_only(self):
+        for c in (TRIV, cyclic(4), type_ii(dihedral(3))):
+            for name in ("kind", "n", "inner"):
+                with pytest.raises(AttributeError):
+                    setattr(c, name, None)
+            with pytest.raises(AttributeError):
+                c.extra = 1

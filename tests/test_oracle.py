@@ -32,7 +32,7 @@ from isoclips.oracle import (
     verify_clips,
 )
 from isoclips.oracle.kernels import batch_membership, closure_ok, membership, mult_table
-from isoclips.oracle.realize import rotations
+from isoclips.oracle.realize import ORTHO_TOL, PHI, _ico_elements_cached, rotations
 
 FINITE_SAMPLE = [
     TRIV,
@@ -101,6 +101,26 @@ class TestRealize:
             assert np.array_equal(rotation(axis, angle), R)
         assert np.allclose(batch @ batch.transpose(0, 2, 1), np.eye(3), atol=1e-12)
         assert np.allclose(np.linalg.det(batch), 1.0)
+
+    def test_ico_closure_matches_elementwise_loop(self):
+        # Reference: the closure that compared each candidate against the
+        # elements found so far one at a time, in the same visiting order.
+        gens = [rotation((1, 1, 1), 2 * pi / 3), rotation((PHI, 0.0, 1.0), 2 * pi / 5)]
+        mats = [np.eye(3)]
+        frontier = list(gens)
+        while frontier:
+            m = frontier.pop()
+            if any(np.abs(m - o).max() <= ORTHO_TOL for o in mats):
+                continue
+            mats.append(m)
+            for g in gens:
+                frontier.append(g @ m)
+                frontier.append(m @ g)
+        reference = np.array(mats)
+        got = _ico_elements_cached()
+        assert got.shape == reference.shape == (60, 3, 3)
+        assert got.dtype == reference.dtype
+        assert got.tobytes() == reference.tobytes()
 
     def test_frame_conjugation(self):
         f = rotation([3, 1, 2], 1.1)

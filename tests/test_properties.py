@@ -86,6 +86,28 @@ class TestClipsLaws:
             assert clips_pair(ctx, TRIV, x) == ClassSet([TRIV])
 
 
+@st.composite
+def clips_families(draw):
+    """A context and two non-empty families of its clipsable classes."""
+    ctx = draw(st.sampled_from([Context.SO3, Context.O3]))
+    pool = clipsable(ctx, 12)
+    family = st.lists(st.sampled_from(pool), min_size=1, max_size=8).map(ClassSet)
+    return ctx, draw(family), draw(family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clips_families())
+def test_clips_sets_is_union_of_pairs(args):
+    ctx, f1, f2 = args
+    reference = set()
+    for a in f1:
+        for b in f2:
+            reference |= set(clips_pair(ctx, a, b))
+    got = clips_sets(ctx, f1, f2)
+    assert got == ClassSet(reference)
+    assert list(got) == sorted(reference, key=lambda c: c.sort_key())
+
+
 class TestOrderLaws:
     @pytest.mark.parametrize("ctx", [Context.SO3, Context.O3])
     def test_partial_order_axioms_exhaustive(self, ctx):
