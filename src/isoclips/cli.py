@@ -3,9 +3,11 @@
 Subcommands: ``clips``, ``isotropy``, ``irrep``, ``decompose``, ``poset``,
 ``verify``.  Exit codes: 0 success, 1 invalid input (a class not admissible
 in the context, an infinite class given to ``verify``, a negative ``irrep``
-degree, a ``--dot`` path that cannot be written), 2 parse or usage error,
-3 unsupported operation (mixed -I action / type II clips), 4 oracle verdict
-fail.
+degree, a ``--dot`` path that cannot be written, an allocation the operating
+system refuses, such as the frames of a huge ``verify --samples``), 2 parse
+or usage error, 3 unsupported operation (mixed -I action / type II clips),
+4 oracle verdict fail.  Catching a refused allocation does not bound memory:
+a request the system grants still runs.
 """
 
 from __future__ import annotations
@@ -233,6 +235,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         return EXIT_UNSUPPORTED
     except (ContextError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'allocation refused'})",
+              file=sys.stderr)
         return 1
 
 

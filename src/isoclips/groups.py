@@ -23,10 +23,17 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 
 class Context(Enum):
-    """Ambient group in which conjugacy and clips are taken."""
+    """Ambient group in which conjugacy and clips are taken.
+
+    Members are singletons compared by identity, so the identity hash of
+    ``object`` is sound; it runs in C, where ``Enum.__hash__`` is Python
+    code paid on every cache lookup keyed on a context.
+    """
 
     SO3 = "so3"
     O3 = "o3"
+
+    __hash__ = object.__hash__
 
 
 class ContextError(ValueError):

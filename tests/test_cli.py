@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import isoclips
 from isoclips.cli import run
 
 
@@ -212,6 +216,22 @@ class TestVerify:
     def test_infinite_class_errors(self, capsys):
         assert run(["verify", "SO(2)", "Z4"]) == 1
 
+    def test_refused_allocation_exit_1(self, capsys, monkeypatch):
+        import isoclips.oracle.verify as verify_mod
+
+        asked = []
+
+        def refuse(count, rng):
+            asked.append(count)
+            raise MemoryError("Unable to allocate 2.91 TiB")
+
+        monkeypatch.setattr(verify_mod, "random_rotations", refuse)
+        assert run(["verify", "Z2", "Z2", "--samples", "99999999999"]) == 1
+        out, err = out_of(capsys)
+        assert asked == [99999999999]
+        assert out == ""
+        assert err == "error: out of memory (Unable to allocate 2.91 TiB)\n"
+
     @pytest.mark.parametrize("option,value", [("--samples", "-1"), ("--seed", "-3")])
     def test_negative_option_is_usage_error(self, capsys, option, value):
         with pytest.raises(SystemExit) as exc:
@@ -219,3 +239,18 @@ class TestVerify:
         assert exc.value.code == 2
         _, err = out_of(capsys)
         assert "non-negative integer" in err and "Traceback" not in err
+
+
+def test_cli_import_loads_neither_numpy_nor_oracle():
+    # Every command but ``verify`` must start without paying numpy's import.
+    src = os.path.dirname(os.path.dirname(isoclips.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, isoclips.cli; "
+        "print(sorted(m for m in ('numpy', 'isoclips.oracle') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from isoclips import (
@@ -312,3 +315,37 @@ class TestClipsSets:
     def test_vector_family(self):
         f = cs(SO2, SO3)
         assert clips_sets(SO3_CTX, f, f) == cs(TRIV, SO2, SO3)
+
+
+class TestContextKey:
+    """``Context`` keys every clips cache: its members must survive value
+    lookup, pickling and deep copies as the same object, hashing in C."""
+
+    def test_value_lookup_is_member(self):
+        assert Context("o3") is Context.O3
+        assert Context("so3") is Context.SO3
+
+    @pytest.mark.parametrize("ctx", list(Context), ids=lambda c: c.value)
+    @pytest.mark.parametrize("trip", [
+        lambda c: pickle.loads(pickle.dumps(c)),
+        copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_round_trip_keeps_member(self, ctx, trip):
+        back = trip(ctx)
+        assert back is ctx
+        assert hash(back) == hash(ctx)
+
+    @pytest.mark.parametrize("ctx", [
+        Context("o3"),
+        pickle.loads(pickle.dumps(Context.O3)),
+        copy.deepcopy(Context.O3),
+    ], ids=["value", "pickle", "deepcopy"])
+    def test_round_tripped_context_hits_cache(self, ctx):
+        clips_pair_detailed(O3_CTX, d_h(6), d_h(8))
+        hits = clips_pair_detailed.cache_info().hits
+        clips_pair_detailed(ctx, d_h(6), d_h(8))
+        assert clips_pair_detailed.cache_info().hits == hits + 1
+
+    def test_hash_runs_in_c(self):
+        # Enum.__hash__ is Python code, paid on every cache lookup.
+        assert Context.__hash__ is object.__hash__
