@@ -1,8 +1,8 @@
 """Hot numeric kernels for the matrix-group oracle.
 
-``membership``, ``closure_ok`` and ``mult_table`` compare 3x3 blocks
-entrywise within ``tol``.  ``batch_membership`` tests many frames at once
-with a Frobenius threshold instead: for orthogonal ``A`` and ``B``,
+``membership`` and ``closure_ok`` compare 3x3 blocks entrywise within
+``tol``.  ``batch_membership`` tests many frames at once with a Frobenius
+threshold instead: for orthogonal ``A`` and ``B``,
 ``||A - B||_F^2 = 6 - 2<A, B>``, so one matrix product over flattened
 blocks replaces the difference tensor.  It compares only the pairs whose
 conjugation invariants (``invariants``) allow a match.
@@ -121,11 +121,3 @@ def closure_ok(G: np.ndarray, tol: float) -> bool:
     """Is the set closed under products (within tol)?"""
     # Not through ``membership``: callers count its calls as tight retries.
     return bool(_matches(_products(G), G, tol).any(axis=1).all())
-
-
-def mult_table(G: np.ndarray, tol: float) -> np.ndarray:
-    """Index table t[i, j] = k with G[i] @ G[j] ~ G[k], or -1."""
-    n = G.shape[0]
-    hit = _matches(_products(G), G, tol)
-    table = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-    return table.reshape(n, n).astype(np.int64)

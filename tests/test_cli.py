@@ -186,6 +186,14 @@ class TestVerify:
         assert "observed: 1, Z2" in out
         assert "verdict: pass" in out
 
+    @pytest.mark.parametrize("a,b,observed", [("Z6", "Z4", "1, Z2"), ("Z200", "Z4", "1, Z4")])
+    def test_sampling_free_pass(self, capsys, a, b, observed):
+        # No random frames: the curated and generic frames reach the table.
+        assert run(["verify", a, b, "--samples", "0"]) == 0
+        out, _ = out_of(capsys)
+        assert f"observed: {observed}\n" in out
+        assert "verdict: pass" in out
+
     def test_json(self, capsys):
         assert run(["verify", "T", "T", "--samples", "150", "--seed", "3", "--json"]) == 0
         out, _ = out_of(capsys)

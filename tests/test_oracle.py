@@ -31,7 +31,7 @@ from isoclips.oracle import (
     rotation,
     verify_clips,
 )
-from isoclips.oracle.kernels import batch_membership, closure_ok, membership, mult_table
+from isoclips.oracle.kernels import batch_membership, closure_ok, membership
 from isoclips.oracle.realize import ORTHO_TOL, PHI, _ico_elements_cached, rotations
 
 FINITE_SAMPLE = [
@@ -172,12 +172,21 @@ class TestIntersect:
 
 class TestCorrectedCells:
     """Constructive witnesses and refutations for the cells where the
-    closed-form rules deviate from their printed sources."""
+    closed-form rules deviate from their printed sources.  ``find_witness``
+    searches the alignment frames and the generic frame, a set that reaches
+    the class of every intersection (``verify`` module docstring), so a None
+    refutes the class for every frame."""
 
     def test_no_d2_in_tetra_tetra(self):
         A = realize(TETRA)
-        assert dihedral(2) not in clips_pair(Context.SO3, TETRA, TETRA)
+        table = clips_pair(Context.SO3, TETRA, TETRA)
+        assert dihedral(2) not in table
         assert find_witness(A, A, dihedral(2)) is None
+        # The same frames reach every class of the corrected cell.
+        for target in table:
+            f = find_witness(A, A, target)
+            assert f is not None, target
+            assert classify(intersect(A, A.conjugate(f))) == target
 
     def test_d2_witness_in_octa_ico(self):
         f = find_witness(realize(OCTA), realize(ICO), dihedral(2))
@@ -266,6 +275,21 @@ class TestVerifyClips:
         rep = verify_clips(OCTA_MINUS, OCTA_MINUS, samples=300, seed=0)
         assert rep.verdict == "pass"
         assert rep.observed == clips_pair(Context.O3, OCTA_MINUS, OCTA_MINUS)
+
+    def test_sampling_free_sweep(self):
+        # The alignment frames and the generic frame alone reach the table
+        # on every ordered cell of the finite classes to parameter 12.
+        classes = [TRIV, TETRA, OCTA, ICO, OCTA_MINUS]
+        classes += [f(n) for f in (cyclic, dihedral, d_v) for n in range(2, 13)]
+        classes += [z_minus(p) for p in range(2, 13, 2)] + [d_h(p) for p in range(4, 13, 2)]
+        assert len(classes) == 49
+        failures = [
+            (str(a), str(b), rep.missing.render(), rep.extra.render())
+            for a in classes for b in classes
+            for rep in [verify_clips(a, b, samples=0)]
+            if rep.verdict != "pass"
+        ]
+        assert failures == []
 
     def test_explicit_alignments(self):
         aligned = [np.eye(3), rotation([1, 0, 0], 0.9)]
@@ -475,22 +499,25 @@ class TestKernels:
 
     @pytest.mark.parametrize("cls", [ICO, type_ii(ICO)], ids=str)
     def test_match_tables_equal_unchunked_reference(self, cls):
+        from isoclips.oracle.kernels import _matches, _products
+
         G = realize(cls).elements
         n = len(G)
         hit = self._hits(G)
-        table = np.where(hit.any(axis=1), hit.argmax(axis=1), -1).reshape(n, n)
-        assert np.array_equal(mult_table(G, MATCH_TOL), table)
+        assert np.array_equal(_matches(_products(G), G, MATCH_TOL), hit)
         assert hit.any(axis=1).all() and closure_ok(G, MATCH_TOL)
         part = G[: n // 3]
         assert not self._hits(part).any(axis=1).all() and not closure_ok(part, MATCH_TOL)
 
-    def test_mult_table_memory_is_bounded(self):
+    def test_closure_memory_is_bounded(self):
         import tracemalloc
 
+        # _matches compares the 14400 products in row blocks; all at once
+        # the difference tensor would take 124 MB.
         G = np.ascontiguousarray(realize(type_ii(ICO)).elements)
         tracemalloc.start()
         try:
-            mult_table(G, MATCH_TOL)
+            assert closure_ok(G, MATCH_TOL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -127,6 +127,17 @@ class TestOrderLaws:
                 if (b, c) in rel:
                     assert (a, c) in rel, (a, b, c)
 
+    @pytest.mark.parametrize("ctx", [Context.SO3, Context.O3])
+    def test_order_law_certificate(self, ctx):
+        # a <= b exactly when a is the class of a intersected with some
+        # conjugate of b: the poset code checked against the rule engine,
+        # with no matrices and no sampling, continuous classes included.
+        cl = clipsable(ctx, 30)
+        assert len(cl) == (65 if ctx is Context.SO3 else 126)
+        for a in cl:
+            for b in cl:
+                assert is_leq(a, b, ctx) == (a in clips_pair(ctx, a, b)), (a, b)
+
 
 # Strategies for random representation specs.
 
