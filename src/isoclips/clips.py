@@ -84,7 +84,7 @@ def clips_params(n: int, m: int) -> ClipsParameters:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClipsRuleOutcome:
     """Result of one pairwise clips together with the rule that produced it."""
 
@@ -468,7 +468,12 @@ def clips_sets(ctx: Context, f1: ClassSet, f2: ClassSet) -> ClassSet:
     3.11: ``set.update``, which hashes every tuple-backed class, is 5.6x
     slower than ``list.extend`` with one ``ClassSet`` at the end, and a
     ``NamedTuple`` field read is 2.45x slower than the dataclass field read
-    of ``ClipsRuleOutcome.result``.
+    of ``ClipsRuleOutcome.result``.  Classes are interned (see ``groups``),
+    so the cache's key match and the final ``ClassSet`` dedupe stop at the
+    identity check.  A memo of whole rows per ``(ctx, a, f2)`` would skip
+    the inner loop, but its memory shows in the benchmark's ``peak_rss_mb``
+    through the harness's growing latency list, so it waits for ROADMAP
+    item 1.
     """
     out: List[SubgroupClass] = []
     for a in f1._classes:

@@ -1,7 +1,15 @@
 """Conjugacy classes of closed subgroups of SO(3) and O(3).
 
-Classes are immutable, canonical-on-construction, tuple-backed values.  A
-closed subgroup class is one of:
+Classes are immutable, tuple-backed values, interned: one object per class
+per process.  The named classes are module constants, and the six
+parametrised constructors (``cyclic``, ``dihedral``, ``z_minus``, ``d_v``,
+``d_h``, ``type_ii``) are unbounded ``lru_cache``s, so every path that builds
+a class (rule outcomes, irreducible lists, parsed names, oracle
+classifications, pickle and copy) returns the object the first call built.
+Equal classes are therefore the same object, and the tuple equality behind
+every dict key match and ``set`` dedupe stops at its identity check.  The
+caches are ``typed``, so ``cyclic(2.0)`` still raises after ``cyclic(2)``,
+and a call that raises is never cached.  A closed subgroup class is one of:
 
 * type I (rotation groups): ``1``, ``Zn``, ``Dn``, ``T``, ``O``, ``I``,
   ``SO(2)``, ``O(2)``, ``SO(3)``;
@@ -119,6 +127,11 @@ class SubgroupClass(NamedTuple):
     def __repr__(self) -> str:
         return f"<{render_class(self)}>"
 
+    def __reduce__(self):
+        # Pickle and copy rebuild through the interning constructors, so a
+        # round trip returns the very same object.
+        return (normalize, (self.kind, self.n, self.inner))
+
     @property
     def is_type_i(self) -> bool:
         return self.kind in _TYPE_I
@@ -181,18 +194,21 @@ OCTA_MINUS = SubgroupClass(OCTA_MINUS_K)
 O2_MINUS = SubgroupClass(O2_MINUS_K)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def cyclic(n: int) -> SubgroupClass:
     """Class of the order-``n`` rotation group about an axis (``Z1 = 1``)."""
     _check_positive(n, "Zn")
     return TRIV if n == 1 else SubgroupClass(CYCLIC_K, n)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def dihedral(n: int) -> SubgroupClass:
     """Class of the dihedral rotation group of order ``2n`` (``D1 = 1``)."""
     _check_positive(n, "Dn")
     return TRIV if n == 1 else SubgroupClass(DIHEDRAL_K, n)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def z_minus(p: int) -> SubgroupClass:
     """Class ``Zp^-`` for even ``p``; ``Z1^-`` collapses to ``1``."""
     _check_positive(p, "Zp^-")
@@ -203,12 +219,14 @@ def z_minus(p: int) -> SubgroupClass:
     return SubgroupClass(ZMINUS_K, p)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def d_v(n: int) -> SubgroupClass:
     """Class ``Dn^v`` of order ``2n`` (``D1^v = 1``)."""
     _check_positive(n, "Dn^v")
     return TRIV if n == 1 else SubgroupClass(DV_K, n)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def d_h(p: int) -> SubgroupClass:
     """Class ``Dp^h`` for even ``p``, of order ``2p`` (``D2^h = 1``)."""
     _check_positive(p, "Dp^h")
@@ -219,6 +237,7 @@ def d_h(p: int) -> SubgroupClass:
     return SubgroupClass(DH_K, p)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def type_ii(inner: SubgroupClass) -> SubgroupClass:
     """Class of ``K u (-K)`` for a type I class ``K``."""
     if not inner.is_type_i:

@@ -349,3 +349,27 @@ class TestContextKey:
     def test_hash_runs_in_c(self):
         # Enum.__hash__ is Python code, paid on every cache lookup.
         assert Context.__hash__ is object.__hash__
+
+
+class TestClassRoundTrip:
+    """Classes are interned: pickling and copying must hand back the same
+    object, so a round-tripped class keeps the identity shortcut of every
+    cache key and set it meets."""
+
+    CLASSES = [cyclic(4), TRIV, type_ii(dihedral(3)), O3_FULL, d_h(8), z_minus(2)]
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=str)
+    @pytest.mark.parametrize("trip", [
+        lambda c: pickle.loads(pickle.dumps(c)),
+        lambda c: pickle.loads(pickle.dumps(c, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-0", "copy", "deepcopy"])
+    def test_round_trip_keeps_object(self, cls, trip):
+        assert trip(cls) is cls
+
+    def test_round_trip_of_container_keeps_objects(self):
+        family = cs(*self.CLASSES[:3])
+        for back in (pickle.loads(pickle.dumps(family)), copy.deepcopy(family)):
+            assert back == family
+            assert all(x is y for x, y in zip(back, family))

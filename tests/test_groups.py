@@ -7,6 +7,7 @@ from isoclips import (
     ClassSet,
     Context,
     ContextError,
+    HarmonicLabel,
     ICO,
     O2,
     O2_MINUS,
@@ -17,12 +18,15 @@ from isoclips import (
     SO3,
     TETRA,
     TRIV,
+    clips_pair_detailed,
     cyclic,
     d_h,
     d_v,
     dihedral,
     hasse,
     is_leq,
+    isotropy_irrep_o3,
+    isotropy_irrep_so3,
     normalize,
     parse_class,
     render_class,
@@ -270,3 +274,81 @@ class TestClassValue:
                     setattr(c, name, None)
             with pytest.raises(AttributeError):
                 c.extra = 1
+
+
+def _interned(c):
+    return c is normalize(c.kind, c.n, c.inner)
+
+
+class TestClassInterning:
+    """Each class is one object per process, whichever path builds it, so
+    equality checks on classes stop at the identity test.  The constructors'
+    ``cache_clear()`` is never called here: ``O3_FULL`` is built through
+    ``type_ii`` at import."""
+
+    CONSTRUCTORS = [
+        (cyclic, [1, 2, 7, 12]),
+        (dihedral, [1, 2, 5, 12]),
+        (z_minus, [1, 2, 8]),
+        (d_v, [1, 2, 9]),
+        (d_h, [1, 2, 4, 10]),
+        (type_ii, [TRIV, dihedral(3), SO2, SO3]),
+    ]
+
+    @pytest.mark.parametrize("make,args", CONSTRUCTORS,
+                             ids=lambda v: getattr(v, "__name__", ""))
+    def test_constructor_returns_identical_object(self, make, args):
+        for arg in args:
+            c = make(arg)
+            assert make(arg) is c
+            assert normalize(c.kind, c.n, c.inner) is c
+            assert parse_class(render_class(c)) is c
+
+    def test_named_classes_are_the_constants(self):
+        assert type_ii(SO3) is O3_FULL
+        assert parse_class("O(3)") is O3_FULL
+        for c in (TRIV, TETRA, OCTA, ICO, SO2, O2, SO3, OCTA_MINUS, O2_MINUS):
+            assert normalize(c.kind) is c
+        for degenerate in (cyclic(1), dihedral(1), z_minus(1), d_v(1), d_h(2)):
+            assert degenerate is TRIV
+
+    @pytest.mark.parametrize("bad", [
+        lambda: cyclic(0),
+        lambda: z_minus(3),
+        lambda: d_h(5),
+        lambda: type_ii(d_v(2)),
+    ], ids=["Z0", "Z3^-", "D5^h", "[D2^v x Zc2]"])
+    def test_failing_call_raises_every_time(self, bad):
+        # A call that raises is never cached.
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                bad()
+
+    def test_typed_key_keeps_float_out(self):
+        # CPython already keys a lone exact int apart from a float, but
+        # ``typed`` keeps that from resting on a fast path of the cache.
+        for make, _ in self.CONSTRUCTORS:
+            assert make.cache_parameters() == {"maxsize": None, "typed": True}
+        assert cyclic(2) is cyclic(2)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                cyclic(2.0)
+
+    @pytest.mark.parametrize("ctx", list(Context), ids=lambda c: c.value)
+    def test_rule_results_are_interned(self, ctx):
+        # A rule that builds a class outside the constructors fails here.
+        classes = [c for c in _value_classes()
+                   if c.is_type_i or (ctx is Context.O3 and
+                                      (c.is_type_iii or c is O3_FULL))]
+        for a in classes:
+            for b in classes:
+                for c in clips_pair_detailed(ctx, a, b).result:
+                    assert _interned(c), (ctx, a, b, c)
+
+    def test_irreducible_lists_are_interned(self):
+        for n in range(31):
+            for c in isotropy_irrep_so3(n):
+                assert _interned(c), (n, c)
+        for n in range(1, 31):
+            for c in isotropy_irrep_o3(HarmonicLabel(n, star=n % 2 == 0)):
+                assert _interned(c), (n, c)

@@ -79,6 +79,18 @@ class TestClipsLaws:
                 assert is_leq(c, a, ctx) and is_leq(c, b, ctx), (c, a, b)
 
     @pytest.mark.parametrize("ctx", [Context.SO3, Context.O3])
+    def test_associativity_certificate(self, ctx):
+        # (a o b) o c == a o (b o c) on class sets, over all ordered triples:
+        # a sampling-free check that reaches the continuous and type III rows.
+        cl = clipsable(ctx, 16)
+        assert len(cl) == (37 if ctx is Context.SO3 else 70)
+        singles = {a: ClassSet([a]) for a in cl}
+        for a, b, c in itertools.product(cl, repeat=3):
+            left = clips_sets(ctx, clips_pair(ctx, a, b), singles[c])
+            right = clips_sets(ctx, singles[a], clips_pair(ctx, b, c))
+            assert left == right, (a, b, c)
+
+    @pytest.mark.parametrize("ctx", [Context.SO3, Context.O3])
     def test_absorption(self, ctx):
         full = full_class(ctx)
         for x in clipsable(ctx, 8):
