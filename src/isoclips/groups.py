@@ -9,7 +9,8 @@ classifications, pickle and copy) returns the object the first call built.
 Equal classes are therefore the same object, and the tuple equality behind
 every dict key match and ``set`` dedupe stops at its identity check.  The
 caches are ``typed``, so ``cyclic(2.0)`` still raises after ``cyclic(2)``,
-and a call that raises is never cached.  A closed subgroup class is one of:
+and a call that raises is never cached; parameters are positional-only, as a
+keyword call would get its own cache key.  A closed subgroup class is one of:
 
 * type I (rotation groups): ``1``, ``Zn``, ``Dn``, ``T``, ``O``, ``I``,
   ``SO(2)``, ``O(2)``, ``SO(3)``;
@@ -195,21 +196,21 @@ O2_MINUS = SubgroupClass(O2_MINUS_K)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def cyclic(n: int) -> SubgroupClass:
+def cyclic(n: int, /) -> SubgroupClass:
     """Class of the order-``n`` rotation group about an axis (``Z1 = 1``)."""
     _check_positive(n, "Zn")
     return TRIV if n == 1 else SubgroupClass(CYCLIC_K, n)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def dihedral(n: int) -> SubgroupClass:
+def dihedral(n: int, /) -> SubgroupClass:
     """Class of the dihedral rotation group of order ``2n`` (``D1 = 1``)."""
     _check_positive(n, "Dn")
     return TRIV if n == 1 else SubgroupClass(DIHEDRAL_K, n)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def z_minus(p: int) -> SubgroupClass:
+def z_minus(p: int, /) -> SubgroupClass:
     """Class ``Zp^-`` for even ``p``; ``Z1^-`` collapses to ``1``."""
     _check_positive(p, "Zp^-")
     if p == 1:
@@ -220,14 +221,14 @@ def z_minus(p: int) -> SubgroupClass:
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def d_v(n: int) -> SubgroupClass:
+def d_v(n: int, /) -> SubgroupClass:
     """Class ``Dn^v`` of order ``2n`` (``D1^v = 1``)."""
     _check_positive(n, "Dn^v")
     return TRIV if n == 1 else SubgroupClass(DV_K, n)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def d_h(p: int) -> SubgroupClass:
+def d_h(p: int, /) -> SubgroupClass:
     """Class ``Dp^h`` for even ``p``, of order ``2p`` (``D2^h = 1``)."""
     _check_positive(p, "Dp^h")
     if p == 1 or p == 2:
@@ -238,7 +239,7 @@ def d_h(p: int) -> SubgroupClass:
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def type_ii(inner: SubgroupClass) -> SubgroupClass:
+def type_ii(inner: SubgroupClass, /) -> SubgroupClass:
     """Class of ``K u (-K)`` for a type I class ``K``."""
     if not inner.is_type_i:
         raise ValueError(f"type II classes wrap type I classes only, got {inner}")

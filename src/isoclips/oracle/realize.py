@@ -3,8 +3,9 @@
 Type I groups are built from their rotation generators in a fixed canonical
 orientation (primary axis z, first secondary axis x, cube/tetrahedron on the
 coordinate frame, dodecahedron with the golden-ratio vertex layout).  A type
-III group with characteristic couple (L, H) is realized as
-``L u (-(H \\ L))`` with L and H built in the same orientation.
+III group with characteristic couple (L, H) (``characteristic_l``,
+``characteristic_h``) is realized as ``L u (-(H \\ L))`` with L and H built
+in the same orientation.
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ from ..groups import (
     SubgroupClass,
     CYCLIC_K,
     DIHEDRAL_K,
-    ZMINUS_K,
-    DV_K,
-    DH_K,
-    OCTA_MINUS_K,
     TETRA_K,
     OCTA_K,
     ICO_K,
     TRIV_K,
     TYPE_II_K,
+    characteristic_h,
+    characteristic_l,
 )
 from .kernels import MATCH_TOL, closure_ok, membership
 
@@ -122,8 +121,6 @@ class MatrixGroup:
 
     elements: np.ndarray
     claimed: Optional[SubgroupClass] = None
-    provenance: str = ""
-    frame: Optional[np.ndarray] = None
     _dets: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -139,9 +136,7 @@ class MatrixGroup:
     def conjugate(self, frame: np.ndarray) -> "MatrixGroup":
         f = np.asarray(frame, dtype=float)
         els = np.einsum("ab,nbc,dc->nad", f, self.elements, f)
-        return MatrixGroup(
-            np.ascontiguousarray(els), self.claimed, self.provenance, frame=f
-        )
+        return MatrixGroup(np.ascontiguousarray(els), self.claimed)
 
     def proper_part(self) -> np.ndarray:
         return self.elements[self.dets > 0]
@@ -188,21 +183,9 @@ def _canonical_elements(cls: SubgroupClass) -> np.ndarray:
         return _octa_elements()
     if k == ICO_K:
         return _ico_elements_cached().copy()
-    if k == ZMINUS_K:
-        L = _cyclic_elements(cls.n // 2) if cls.n > 2 else np.eye(3)[None]
-        H = _cyclic_elements(cls.n)
-        return np.concatenate([L, _minus_coset(L, H)])
-    if k == DV_K:
-        L = _cyclic_elements(cls.n)
-        H = _dihedral_elements(cls.n)
-        return np.concatenate([L, _minus_coset(L, H)])
-    if k == DH_K:
-        L = _dihedral_elements(cls.n // 2)
-        H = _dihedral_elements(cls.n)
-        return np.concatenate([L, _minus_coset(L, H)])
-    if k == OCTA_MINUS_K:
-        L = _tetra_elements()
-        H = _octa_elements()
+    if cls.is_type_iii:
+        L = _canonical_elements(characteristic_l(cls))
+        H = _canonical_elements(characteristic_h(cls))
         return np.concatenate([L, _minus_coset(L, H)])
     if k == TYPE_II_K:
         K = _canonical_elements(cls.inner)
@@ -212,25 +195,23 @@ def _canonical_elements(cls: SubgroupClass) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _canonical_group(cls: SubgroupClass) -> MatrixGroup:
-    g = MatrixGroup(
-        np.ascontiguousarray(_canonical_elements(cls)),
-        claimed=cls,
-        provenance=f"canonical:{cls}",
-    )
+    g = MatrixGroup(np.ascontiguousarray(_canonical_elements(cls)), claimed=cls)
     g.validate()
+    # Shared by every caller of ``realize``.
+    g.elements.flags.writeable = False
+    g.dets.flags.writeable = False
     return g
 
 
 def realize(cls: SubgroupClass, frame: Optional[np.ndarray] = None) -> MatrixGroup:
-    """Realize a finite class as an explicit matrix group, optionally rotated."""
+    """Realize a finite class as an explicit matrix group, optionally rotated.
+
+    With no frame this is the class's one cached canonical group, whose
+    elements are read-only; with a frame, a new conjugated group."""
     if not cls.is_finite:
         raise ValueError(f"cannot realize the infinite class {cls}")
     g = _canonical_group(cls)
-    if frame is None:
-        return MatrixGroup(g.elements.copy(), cls, g.provenance, frame=np.eye(3))
-    out = g.conjugate(frame)
-    out.provenance = f"canonical:{cls}@frame"
-    return out
+    return g if frame is None else g.conjugate(frame)
 
 
 def intersect(g1: MatrixGroup, g2: MatrixGroup, tol: float = MATCH_TOL) -> MatrixGroup:
@@ -238,10 +219,7 @@ def intersect(g1: MatrixGroup, g2: MatrixGroup, tol: float = MATCH_TOL) -> Matri
     mask = membership(
         np.ascontiguousarray(g1.elements), np.ascontiguousarray(g2.elements), tol
     )
-    out = MatrixGroup(
-        np.ascontiguousarray(g1.elements[mask]),
-        provenance="intersection",
-    )
+    out = MatrixGroup(np.ascontiguousarray(g1.elements[mask]))
     if not closure_ok(np.ascontiguousarray(out.elements), tol):
         raise ValueError("intersection is not closed; tolerance mismatch")
     return out

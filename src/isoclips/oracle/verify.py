@@ -40,12 +40,12 @@ Only work that can change a report is done.
 
 * Conjugation keeps the ``invariants`` of an element, ``trace + 8 det``.
   ``|tr X - tr Y| <= sqrt(3) ||X - Y||_F``, and a det mismatch gives
-  ``||X - Y||_F >= 2``, so an element of B whose invariant is farther than
-  ``match_window(tol)`` from every invariant of A lies over ``2 tol`` from
-  every element of A in every frame.  It can pass neither the Frobenius test
-  of ``batch_membership`` nor the entrywise test at ``tol / 100`` of the
-  tight retry (entrywise within t gives Frobenius within 3t), so only the
-  other elements are conjugated.  In a criterion-6 sweep they are 38.6% of
+  ``||X - Y||_F >= 2``, so with ``tol = MATCH_TOL`` an element of B whose
+  invariant is farther than ``match_window(tol)`` from every invariant of A
+  lies over ``2 tol`` from every element of A in every frame.  It can pass
+  neither the Frobenius test of ``batch_membership`` nor the entrywise test
+  at ``tol / 100`` of the tight retry (entrywise within t gives Frobenius
+  within 3t), so only the other elements are conjugated.  In a criterion-6 sweep they are 38.6% of
   B's elements, and ``batch_membership`` compares the 12.2% of element
   pairs whose invariants agree.
 * Frames go through in chunks of at most ``ROW_BUDGET`` (frame, element)
@@ -58,34 +58,34 @@ Only work that can change a report is done.
 A sweep over many cells repeats most of its work, so each distinct piece is
 done once per process and kept in a bounded cache that holds a full
 criterion-6 sweep.  Each cache is exact: its value is a function of its key
-alone, so a hit returns what the computation would.
+alone, so a hit returns what the computation would.  Classes are interned
+(``groups``) and ``realize`` returns one read-only canonical group per class,
+so a class stands for its group's elements in a key.
 
-* ``_axes_of``: the characteristic axes of a group, keyed on its element
-  bytes; the azimuth frame of one axis u per orbit, as the interned bytes of
-  u, the cosines to u and the exact azimuths about u of the group's off-axis
-  signed axes; and the bytes of each representative in both signs.
-* ``_steps``: for an azimuth frame of A and the group B, the frames of each
-  alignment step: a signed B representative sent to u, then twisted about u
-  by the generic twists and by the azimuth differences of axes at equal
-  cosines.  The key holds every input of this, so classes with equal
-  azimuth frames share entries.  A sweep meets 1248 distinct keys, which
-  cover its 10242 steps.
+* ``_axes_of``: the characteristic axes of a class's group, keyed on the
+  class; the azimuth frame of one axis u per orbit, as the bytes of u, the
+  cosines to u and the exact azimuths about u of the group's off-axis signed
+  axes; and the bytes of each representative in both signs.
+* ``_steps``: for an azimuth frame of A and the class of B, the frames of
+  each alignment step: a signed B representative sent to u, then twisted
+  about u by the generic twists and by the azimuth differences of axes at
+  equal cosines.  The azimuth frame stays a byte key, as equal frames are
+  shared across classes: a sweep meets 1248 distinct keys, which cover its
+  10242 steps, where keys on the class of A would be 2242.
 * ``_frame_block``: the frames ``rotation(u, t) @ base`` over a step's
   twists, keyed on the bytes of u, base and the twists, so steps with equal
-  ones share one array.  A sweep's 163775 curated frames come from 868
-  blocks of 25541 frames in all.
+  ones, in any classes, share one array.  A sweep's 163775 curated frames
+  come from 868 blocks of 25541 frames in all.
 * ``_random_frames``: ``random_rotations(samples, default_rng(seed))``, a
   function of (samples, seed); every cell at one seed draws the same frames.
   It keeps two keys, as the array grows with ``samples``.
-* ``_sorted_invariants``: the invariants of a group's elements, in order,
-  keyed on its element bytes.
-* ``_subset_class``: the class of a member subset, keyed on the group's
-  element bytes, the packed member mask and ``tol``.  The subset determines
-  both the closure test and the class.  A subset that is not closed is
-  never cached: its tight retry depends on the frame that produced it.
-  A sweep classifies 544 distinct subsets in 5155 distinct per-cell masks.
-* ``_interned``: one shared copy of each element array's and azimuth
-  frame's bytes, so that the keys above do not copy them once per cell.
+* ``_sorted_invariants``: the invariants of a class's elements, in order,
+  keyed on the class.
+* ``_subset_class``: the class of a member subset, keyed on the class of A
+  and the packed member mask.  The subset determines both the closure test
+  and the class.  A subset that is not closed is never cached: its tight
+  retry depends on the frame that produced it.  A sweep classifies 544
+  distinct subsets in 5155 distinct per-cell masks.
 """
 
 from __future__ import annotations
@@ -94,13 +94,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import atan2, pi
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..clips import clips_pair
 from ..groups import ClassSet, Context, SubgroupClass, render_class
-from .classify import classify, rotation_axis_angle
+from .classify import _axis_clusters, classify, rotation_axis_angle
 from .kernels import ROW_BUDGET, batch_membership, invariants, match_window
 from .realize import MATCH_TOL, MatrixGroup, realize, rotation, rotations
 
@@ -150,17 +150,10 @@ def rotation_between(v: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def characteristic_axes(g: MatrixGroup) -> np.ndarray:
-    """Distinct axes of the rotation images det(x) x of all elements."""
-    axes: List[np.ndarray] = []
-    for R in g.pi_image():
-        if np.abs(R - np.eye(3)).max() <= MATCH_TOL:
-            continue
-        u, _ = rotation_axis_angle(np.ascontiguousarray(R))
-        if not any(abs(float(u @ v)) > 1.0 - 1e-7 for v in axes):
-            axes.append(u)
-    if not axes:
-        axes.append(np.array([0.0, 0.0, 1.0]))
-    return np.array(axes)
+    """Distinct axes of the rotation images det(x) x of all elements; ``z``
+    for the groups without one."""
+    axes = [u for u, _ in _axis_clusters(g.pi_image())]
+    return np.array(axes or [[0.0, 0.0, 1.0]])
 
 
 def _axis_orbit_reps(axes: np.ndarray, rotations: np.ndarray) -> np.ndarray:
@@ -204,17 +197,6 @@ def _azimuths(ws: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return np.array([atan2(float(w @ e2), float(w @ e1)) for w in ws])
 
 
-@functools.lru_cache(maxsize=1024)
-def _interned(content: bytes) -> bytes:
-    """The first equal bytes object seen, so that the cache keys made from
-    equal contents share one copy of them."""
-    return content
-
-
-def _elements_key(g: MatrixGroup) -> bytes:
-    return _interned(np.ascontiguousarray(g.elements, dtype=float).tobytes())
-
-
 def _unpack_azimuth_frame(key: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, cosines, azimuths) from the bytes of an azimuth frame."""
     data = np.frombuffer(key)
@@ -224,9 +206,9 @@ def _unpack_azimuth_frame(key: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarra
 
 class _Axes(NamedTuple):
     """Characteristic axes of a class; one azimuth frame per orbit: the
-    interned bytes of a representative u, the cosines to u and the exact
-    azimuths about u of the class's off-axis signed axes; and the bytes of
-    each representative in both signs."""
+    bytes of a representative u, the cosines to u and the exact azimuths
+    about u of the class's off-axis signed axes; and the bytes of each
+    representative in both signs."""
 
     axes: np.ndarray
     frames: Tuple[bytes, ...]
@@ -234,10 +216,10 @@ class _Axes(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _axes_of(elements: bytes) -> _Axes:
-    """Characteristic axes of the group with these elements, one axis per
+def _axes_of(cls: SubgroupClass) -> _Axes:
+    """Characteristic axes of the class's canonical group, one axis per
     orbit and the azimuth frame of each."""
-    g = MatrixGroup(np.frombuffer(elements).reshape(-1, 3, 3))
+    g = realize(cls)
     axes = characteristic_axes(g)
     reps = _axis_orbit_reps(axes, g.pi_image())
     signed = _signed(axes)
@@ -245,19 +227,18 @@ def _axes_of(elements: bytes) -> _Axes:
     for u in reps:
         e1, e2 = _perpendicular(u)
         ws = signed[_off_axis(signed, e1, e2)]
-        frames.append(_interned(u.tobytes() + (ws @ u).tobytes()
-                                + _azimuths(ws, e1, e2).tobytes()))
+        frames.append(u.tobytes() + (ws @ u).tobytes() + _azimuths(ws, e1, e2).tobytes())
     # Cached results are shared by every caller.
     axes.flags.writeable = False
     return _Axes(axes, tuple(frames), tuple(sv.tobytes() for sv in _signed(reps)))
 
 
-def _alignment(u: np.ndarray, sv: np.ndarray, elements_b: bytes):
+def _alignment(u: np.ndarray, sv: np.ndarray, b: SubgroupClass):
     """``base`` sending the signed B axis ``sv`` to u; then, of B's signed
     axes after ``base``, those with an azimuth about u: their cosines to u
     and exact azimuths."""
     base = rotation_between(sv, u)
-    ws = _signed(_axes_of(elements_b).axes @ base.T)
+    ws = _signed(_axes_of(b).axes @ base.T)
     e1, e2 = _perpendicular(u)
     off = _off_axis(ws, e1, e2)
     return base, (ws @ u)[off], _azimuths(ws[off], e1, e2)
@@ -296,14 +277,14 @@ def _frame_block(block: bytes) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2048)
-def _steps(azimuth_frame: bytes, elements_b: bytes) -> Tuple[np.ndarray, ...]:
+def _steps(azimuth_frame: bytes, b: SubgroupClass) -> Tuple[np.ndarray, ...]:
     """The frames of each alignment step from an azimuth frame of A, about
     its axis u, into B: one block per signed B axis representative sv, in
     order, of sv sent to u and then twisted about u."""
     u, cosines, azimuths = _unpack_azimuth_frame(azimuth_frame)
     blocks = []
-    for sv in _axes_of(elements_b).signed_reps:
-        base, b_cosines, b_azimuths = _alignment(u, np.frombuffer(sv), elements_b)
+    for sv in _axes_of(b).signed_reps:
+        base, b_cosines, b_azimuths = _alignment(u, np.frombuffer(sv), b)
         # Pairs of A- and B-axes at the same angle to u: twisting by their
         # azimuth difference makes them coincide.
         ia, ib = np.nonzero(np.abs(cosines[:, None] - b_cosines) < 1e-6)
@@ -315,15 +296,14 @@ def _steps(azimuth_frame: bytes, elements_b: bytes) -> Tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def alignment_frames(A: MatrixGroup, B: MatrixGroup, max_frames: int = 20000) -> np.ndarray:
-    """Curated frames as one (F, 3, 3) array: axis-to-axis alignments with
-    twist angles that make secondary axes coincide, plus generic twists that
-    isolate single shared axes.  The identity comes first; at most
-    ``max(max_frames, 1)`` frames."""
-    key_b = _elements_key(B)
+def alignment_frames(a: SubgroupClass, b: SubgroupClass, max_frames: int = 20000) -> np.ndarray:
+    """Curated frames of the canonical groups of two finite classes as one
+    (F, 3, 3) array: axis-to-axis alignments with twist angles that make
+    secondary axes coincide, plus generic twists that isolate single shared
+    axes.  The identity comes first; at most ``max(max_frames, 1)`` frames."""
     blocks = [_IDENTITY]
     room = max_frames - 1
-    steps = (_steps(frame, key_b) for frame in _axes_of(_elements_key(A)).frames)
+    steps = (_steps(frame, b) for frame in _axes_of(a).frames)
     for block in itertools.chain.from_iterable(steps):
         if room <= 0:
             break
@@ -381,28 +361,27 @@ class _NotClosed(Exception):
 
 
 @functools.lru_cache(maxsize=2048)
-def _subset_class(elements: bytes, packed: bytes, tol: float) -> SubgroupClass:
-    """Class of the elements whose bits are set in ``packed`` (a
-    ``np.packbits`` member mask), if they are closed at ``tol``."""
+def _subset_class(a: SubgroupClass, packed: bytes) -> SubgroupClass:
+    """Class of the elements of ``realize(a)`` whose bits are set in
+    ``packed`` (a ``np.packbits`` member mask), if they are closed."""
     # Looked up per call: perfbench's tracer wraps this name in the kernels
     # module.
     from .kernels import closure_ok
 
-    G = np.frombuffer(elements).reshape(-1, 3, 3)
+    G = realize(a).elements
     mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=len(G)).astype(bool)
     mats = np.ascontiguousarray(G[mask])
-    if not closure_ok(mats, tol):
+    if not closure_ok(mats, MATCH_TOL):
         raise _NotClosed
     return classify(MatrixGroup(mats))
 
 
-def _classify_mask(elements: bytes, packed: bytes, BC_f: np.ndarray,
-                   tol: float) -> SubgroupClass:
-    """Class of the member subset ``packed`` of the group with these
-    elements; ``BC_f`` is the first frame's conjugated B with that mask,
-    used for the tight retry."""
+def _classify_mask(a: SubgroupClass, packed: bytes, BC_f: np.ndarray) -> SubgroupClass:
+    """Class of the member subset ``packed`` of ``realize(a)``; ``BC_f`` is
+    the first frame's conjugated B with that mask, used for the tight
+    retry."""
     try:
-        return _subset_class(elements, packed, tol)
+        return _subset_class(a, packed)
     except _NotClosed:
         pass
     # Looked up per call: perfbench's tracer wraps these names in the
@@ -410,11 +389,11 @@ def _classify_mask(elements: bytes, packed: bytes, BC_f: np.ndarray,
     from .kernels import closure_ok, membership
 
     # A frame near (but not on) an alignment manifold can match only part
-    # of a coset.  Genuine matches sit far below tol, so retry with a
+    # of a coset.  Genuine matches sit far below MATCH_TOL, so retry with a
     # tightened tolerance before giving up.
-    G = np.frombuffer(elements).reshape(-1, 3, 3)
-    mats = np.ascontiguousarray(G[membership(G, BC_f, tol / 100.0)])
-    if not closure_ok(mats, tol):
+    G = realize(a).elements
+    mats = np.ascontiguousarray(G[membership(G, BC_f, MATCH_TOL / 100.0)])
+    if not closure_ok(mats, MATCH_TOL):
         raise ValueError(
             "intersection is not closed at either tolerance; "
             "frame sits on a degenerate alignment"
@@ -443,10 +422,10 @@ def _random_frames(samples: int, seed: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _sorted_invariants(elements: bytes) -> Tuple[np.ndarray, np.ndarray]:
-    """The invariants of the group's elements in increasing order, and the
-    element order that sorts them."""
-    s = invariants(np.frombuffer(elements))
+def _sorted_invariants(cls: SubgroupClass) -> Tuple[np.ndarray, np.ndarray]:
+    """The invariants of the elements of ``realize(cls)`` in increasing
+    order, and the element order that sorts them."""
+    s = invariants(realize(cls).elements)
     order = np.argsort(s, kind="stable")
     out = s[order], order
     for a in out:
@@ -454,26 +433,27 @@ def _sorted_invariants(elements: bytes) -> Tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _needed(key_a: bytes, key_b: bytes, tol: float) -> np.ndarray:
-    """Indices of B's elements whose invariants come within
-    ``match_window(tol)`` of an element of A, sorted by invariant."""
-    sa = _sorted_invariants(key_a)[0]
-    sb, order = _sorted_invariants(key_b)
-    window = match_window(tol)
+def _needed(a: SubgroupClass, b: SubgroupClass) -> np.ndarray:
+    """Indices of the elements of ``realize(b)`` whose invariants come within
+    ``match_window(MATCH_TOL)`` of an element of ``realize(a)``, sorted by
+    invariant."""
+    sa = _sorted_invariants(a)[0]
+    sb, order = _sorted_invariants(b)
+    window = match_window(MATCH_TOL)
     # The least invariant of A at or above sb - window is within the window
     # of sb if any is.
     near = np.minimum(np.searchsorted(sa, sb - window), len(sa) - 1)
     return order[np.abs(sa[near] - sb) <= window]
 
 
-def _witnesses(A: MatrixGroup, B: MatrixGroup, F: np.ndarray,
-               tol: float) -> Dict[SubgroupClass, np.ndarray]:
-    """The class of each intersection ``A n fBf^-1`` over the frames f of
-    ``F``, each with the first frame that reaches it."""
-    key = _elements_key(A)
-    elements_a = np.ascontiguousarray(A.elements)
+def _witnesses(a: SubgroupClass, b: SubgroupClass,
+               F: np.ndarray) -> Dict[SubgroupClass, np.ndarray]:
+    """The class of each intersection ``A n fBf^-1`` of the canonical groups
+    A and B of a and b over the frames f of ``F``, each with the first frame
+    that reaches it."""
+    elements_a = realize(a).elements
     # Only these elements of B can match an element of A in any frame.
-    B_needed = np.ascontiguousarray(B.elements[_needed(key, _elements_key(B), tol)])
+    B_needed = np.ascontiguousarray(realize(b).elements[_needed(a, b)])
     # Classify each distinct mask once, visiting them in the order of their
     # first frame, chunk after chunk: the first frame to reach a class stays
     # its witness.
@@ -483,7 +463,7 @@ def _witnesses(A: MatrixGroup, B: MatrixGroup, F: np.ndarray,
     for start in range(0, len(F), step):
         frames = F[start:start + step]
         BC = _conjugates(frames, B_needed)
-        packed = np.packbits(batch_membership(elements_a, BC, tol), axis=1)
+        packed = np.packbits(batch_membership(elements_a, BC, MATCH_TOL), axis=1)
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first = np.unique(rows, return_index=True)
         for f_idx in np.sort(first):
@@ -491,36 +471,31 @@ def _witnesses(A: MatrixGroup, B: MatrixGroup, F: np.ndarray,
             if mask in seen:
                 continue
             seen.add(mask)
-            c = _classify_mask(key, mask, BC[f_idx], tol)
+            c = _classify_mask(a, mask, BC[f_idx])
             if c not in witnesses:
                 witnesses[c] = frames[f_idx].copy()
     return witnesses
 
 
-def find_witness(A: MatrixGroup, B: MatrixGroup, target: SubgroupClass,
-                 tol: float = MATCH_TOL) -> Optional[np.ndarray]:
-    """The first frame of ``alignment_frames(A, B)`` and the generic frame
-    whose intersection has class ``target``, or None if no frame has it."""
-    F = np.concatenate([alignment_frames(A, B), _GENERIC_FRAME])
-    return _witnesses(A, B, F, tol).get(target)
+def find_witness(a: SubgroupClass, b: SubgroupClass,
+                 target: SubgroupClass) -> Optional[np.ndarray]:
+    """The first frame f of ``alignment_frames(a, b)`` and the generic frame
+    for which ``realize(a) n realize(b, f)`` has class ``target``, or None if
+    no frame has it."""
+    F = np.concatenate([alignment_frames(a, b), _GENERIC_FRAME])
+    return _witnesses(a, b, F).get(target)
 
 
 def verify_clips(a: SubgroupClass, b: SubgroupClass, samples: int = 200,
-                 seed: int = 0, alignments: Optional[Sequence[np.ndarray]] = None,
-                 tol: float = MATCH_TOL) -> VerificationReport:
+                 seed: int = 0) -> VerificationReport:
     """Compare the symbolic clips set of (a, b) with observed intersections."""
     if not (a.is_finite and b.is_finite):
         raise ValueError("oracle verification needs finite classes")
     ctx = Context.O3 if (a.is_type_iii or b.is_type_iii or a.is_type_ii
                          or b.is_type_ii) else Context.SO3
     table = clips_pair(ctx, a, b)
-    A, B = realize(a), realize(b)
-    if alignments is None:
-        frames = [alignment_frames(A, B), _random_frames(samples, seed), _GENERIC_FRAME]
-    else:
-        frames = [np.asarray(alignments, dtype=float).reshape(-1, 3, 3),
-                  _random_frames(samples, seed)]
-    witnesses = _witnesses(A, B, np.concatenate(frames), tol)
+    frames = [alignment_frames(a, b), _random_frames(samples, seed), _GENERIC_FRAME]
+    witnesses = _witnesses(a, b, np.concatenate(frames))
     observed = ClassSet(witnesses.keys())
     extra = ClassSet(c for c in observed if c not in table)
     missing = ClassSet(c for c in table if c not in observed)

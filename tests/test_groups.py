@@ -142,7 +142,7 @@ class TestOrder:
 
         big, small = realize(ICO), realize(dihedral(3))
         found = False
-        for f in alignment_frames(big, small):
+        for f in alignment_frames(ICO, dihedral(3)):
             if intersect(big, small.conjugate(f)).order == small.order:
                 found = True
                 break
@@ -323,6 +323,13 @@ class TestClassInterning:
         for _ in range(3):
             with pytest.raises(ValueError):
                 bad()
+
+    def test_keyword_calls_raise(self):
+        # A keyword call would get its own cache key, and so a second object.
+        for call in (lambda: cyclic(n=4), lambda: dihedral(n=3), lambda: z_minus(p=4),
+                     lambda: d_v(n=2), lambda: d_h(p=6), lambda: type_ii(inner=dihedral(3))):
+            with pytest.raises(TypeError):
+                call()
 
     def test_typed_key_keeps_float_out(self):
         # CPython already keys a lone exact int apart from a float, but

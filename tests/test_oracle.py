@@ -128,6 +128,21 @@ class TestRealize:
         g.validate()
         assert classify(g) == OCTA
 
+    @pytest.mark.parametrize("cls", [TRIV, OCTA, d_h(6), type_ii(dihedral(3))], ids=str)
+    def test_canonical_group_is_shared_and_read_only(self, cls):
+        g = realize(cls)
+        assert realize(cls) is g
+        with pytest.raises(ValueError):
+            g.elements[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            g.dets[0] = -1.0
+        f = rotation([3, 1, 2], 1.1)
+        h = realize(cls, f)
+        assert h is not g and h.claimed == cls
+        assert np.allclose(h.elements, f @ g.elements @ f.T)
+        h.elements[0, 0, 0] = 2.0  # a conjugated group is the caller's own
+        assert realize(cls, f).elements[0, 0, 0] != 2.0
+
 
 class TestClassify:
     @pytest.mark.parametrize("cls", FINITE_SAMPLE, ids=str)
@@ -181,15 +196,15 @@ class TestCorrectedCells:
         A = realize(TETRA)
         table = clips_pair(Context.SO3, TETRA, TETRA)
         assert dihedral(2) not in table
-        assert find_witness(A, A, dihedral(2)) is None
+        assert find_witness(TETRA, TETRA, dihedral(2)) is None
         # The same frames reach every class of the corrected cell.
         for target in table:
-            f = find_witness(A, A, target)
+            f = find_witness(TETRA, TETRA, target)
             assert f is not None, target
             assert classify(intersect(A, A.conjugate(f))) == target
 
     def test_d2_witness_in_octa_ico(self):
-        f = find_witness(realize(OCTA), realize(ICO), dihedral(2))
+        f = find_witness(OCTA, ICO, dihedral(2))
         assert f is not None
         got = intersect(realize(OCTA), realize(ICO).conjugate(f))
         assert classify(got) == dihedral(2)
@@ -214,13 +229,13 @@ class TestCorrectedCells:
     def test_z2_and_z2_minus_witnesses_in_dh_dh(self):
         A = realize(d_h(6))
         for target in (cyclic(2), z_minus(2), d_v(2)):
-            f = find_witness(A, A, target)
+            f = find_witness(d_h(6), d_h(6), target)
             assert f is not None, target
             assert classify(intersect(A, A.conjugate(f))) == target
 
     def test_z2_minus_witness_in_dh_dv_even(self):
         A, B = realize(d_h(4)), realize(d_v(2))
-        f = find_witness(A, B, z_minus(2))
+        f = find_witness(d_h(4), d_v(2), z_minus(2))
         assert f is not None
         assert classify(intersect(A, B.conjugate(f))) == z_minus(2)
 
@@ -255,7 +270,7 @@ class TestContainmentAgreesWithOrder:
         A, B = realize(big), realize(small)
         embedded = any(
             intersect(A, B.conjugate(f)).order == B.order
-            for f in alignment_frames(A, B)
+            for f in alignment_frames(big, small)
         )
         assert embedded == is_leq(small, big, ctx)
 
@@ -291,12 +306,6 @@ class TestVerifyClips:
         ]
         assert failures == []
 
-    def test_explicit_alignments(self):
-        aligned = [np.eye(3), rotation([1, 0, 0], 0.9)]
-        rep = verify_clips(cyclic(6), cyclic(4), samples=150, seed=3,
-                           alignments=aligned)
-        assert rep.verdict == "pass"
-
     def test_report_json(self):
         rep = verify_clips(dihedral(4), dihedral(6), samples=150, seed=11)
         data = rep.to_json()
@@ -307,10 +316,14 @@ class TestVerifyClips:
         assert data["extra"] == [] and data["missing"] == []
 
     def test_infinite_rejected(self):
-        from isoclips import O2
+        from isoclips import O2, SO2
 
         with pytest.raises(ValueError):
             verify_clips(O2, dihedral(4))
+        with pytest.raises(ValueError):
+            alignment_frames(SO2, cyclic(2))
+        with pytest.raises(ValueError):
+            find_witness(O2, TETRA, TRIV)
 
     @pytest.mark.parametrize("a,b,seed", [
         (ICO, OCTA, 0),
@@ -320,16 +333,19 @@ class TestVerifyClips:
         (ICO, ICO, 0),
     ], ids=str)
     def test_witness_is_first_frame_of_its_class(self, a, b, seed):
-        # Per-frame reference: each class's witness is the first frame whose
-        # intersection has that class (with the same tight retry).
+        # Per-frame reference over the curated, random and generic frames:
+        # each class's witness is the first frame whose intersection has that
+        # class (with the same tight retry).
         from isoclips.oracle.kernels import ROW_BUDGET
+        from isoclips.oracle.verify import _GENERIC_FRAME
 
         A, B = realize(a), realize(b)
-        curated = alignment_frames(A, B)
-        if a == b == ICO:  # 964 frames: verify_clips takes them in many chunks
-            assert len(curated) + 200 == 964
-            assert 964 * B.order > 10 * ROW_BUDGET
-        frames = list(curated) + list(random_rotations(200, np.random.default_rng(seed)))
+        curated = alignment_frames(a, b)
+        if a == b == ICO:  # 965 frames: verify_clips takes them in many chunks
+            assert len(curated) + 200 + 1 == 965
+            assert 965 * B.order > 10 * ROW_BUDGET
+        frames = (list(curated) + list(random_rotations(200, np.random.default_rng(seed)))
+                  + list(_GENERIC_FRAME))
         first = {}
         for f in frames:
             Bf = B.conjugate(f)
@@ -338,7 +354,7 @@ class TestVerifyClips:
             except ValueError:
                 c = classify(intersect(A, Bf, MATCH_TOL / 100.0))
             first.setdefault(c, f)
-        rep = verify_clips(a, b, samples=200, seed=seed, alignments=curated)
+        rep = verify_clips(a, b, samples=200, seed=seed)
         assert rep.observed == ClassSet(first)
         for c, f in first.items():
             assert np.allclose(rep.witnesses[c], f, rtol=0.0, atol=1e-12), c
@@ -358,10 +374,9 @@ class TestVerifyClips:
         assert peak < 40 * 2**20
 
     def test_alignment_frames_cap(self):
-        A, B = realize(ICO), realize(OCTA)
-        full = alignment_frames(A, B)
+        full = alignment_frames(ICO, OCTA)
         for k in (1, 2, 7, 100, len(full) - 1, len(full), len(full) + 5):
-            capped = alignment_frames(A, B, max_frames=k)
+            capped = alignment_frames(ICO, OCTA, max_frames=k)
             assert len(capped) == min(k, len(full))
             assert np.array_equal(np.array(capped), np.array(full[:len(capped)]))
 
@@ -371,42 +386,49 @@ class TestSweepCaches:
     """The per-process caches of ``verify`` give what a fresh computation
     gives, whatever ran before."""
 
-    @staticmethod
-    def _clear():
+    CACHES = ("_subset_class", "_steps", "_frame_block", "_axes_of", "_random_frames",
+              "_sorted_invariants")
+
+    @classmethod
+    def _clear(cls):
         from isoclips.oracle import verify
 
-        for cache in (verify._subset_class, verify._steps, verify._frame_block,
-                      verify._axes_of, verify._interned, verify._random_frames,
-                      verify._sorted_invariants):
-            cache.cache_clear()
+        for name in cls.CACHES:
+            getattr(verify, name).cache_clear()
+
+    def test_clear_lists_every_cache(self):
+        # A cache left out of _clear would stay warm in the cold runs below.
+        from isoclips.oracle import verify
+
+        cached = {n for n in dir(verify) if hasattr(getattr(verify, n), "cache_clear")}
+        assert set(self.CACHES) == cached
 
     @pytest.mark.parametrize("a,b", [
         (ICO, OCTA), (TETRA, TETRA), (OCTA_MINUS, OCTA_MINUS), (d_h(6), d_v(4)),
     ], ids=str)
     def test_subset_class_equals_direct_classify(self, a, b):
-        from isoclips.oracle.verify import _NotClosed, _elements_key, _subset_class
+        from isoclips.oracle.verify import _NotClosed, _subset_class
 
         self._clear()
         A, B = realize(a), realize(b)
         frames = np.concatenate(
-            [alignment_frames(A, B), random_rotations(200, np.random.default_rng(0))]
+            [alignment_frames(a, b), random_rotations(200, np.random.default_rng(0))]
         )
         BC = np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames)
         masks = np.unique(batch_membership(A.elements, BC, MATCH_TOL), axis=0)
-        key = _elements_key(A)
         for mask in masks:
             packed = np.packbits(mask).tobytes()
             mats = np.ascontiguousarray(A.elements[mask])
             for _ in range(2):  # a miss, then a hit
                 if closure_ok(mats, MATCH_TOL):
-                    assert _subset_class(key, packed, MATCH_TOL) == classify(MatrixGroup(mats))
+                    assert _subset_class(a, packed) == classify(MatrixGroup(mats))
                 else:
                     with pytest.raises(_NotClosed):
-                        _subset_class(key, packed, MATCH_TOL)
+                        _subset_class(a, packed)
         assert _subset_class.cache_info().hits > 0
 
     def test_open_subset_takes_its_own_tight_retry(self):
-        from isoclips.oracle.verify import _classify_mask, _elements_key, _subset_class
+        from isoclips.oracle.verify import _classify_mask, _subset_class
 
         self._clear()
         A = realize(OCTA)
@@ -414,15 +436,15 @@ class TestSweepCaches:
         identity = np.abs(A.elements - np.eye(3)).max(axis=(1, 2)) < 1e-12
         mask = quarter | identity  # {1, r}: not closed, r^2 is missing
         assert mask.sum() == 2
-        key, packed = _elements_key(A), np.packbits(mask).tobytes()
+        packed = np.packbits(mask).tobytes()
         # The same subset with three different frames: each frame's own
         # conjugated B decides the tight retry.
         Z4, Z2 = realize(cyclic(4)).elements, realize(cyclic(2)).elements
-        assert _classify_mask(key, packed, Z4, MATCH_TOL) == cyclic(4)
-        assert _classify_mask(key, packed, Z2, MATCH_TOL) == cyclic(2)
+        assert _classify_mask(OCTA, packed, Z4) == cyclic(4)
+        assert _classify_mask(OCTA, packed, Z2) == cyclic(2)
         with pytest.raises(ValueError):
-            _classify_mask(key, packed, A.elements[mask], MATCH_TOL)
-        assert _classify_mask(key, packed, Z4, MATCH_TOL) == cyclic(4)
+            _classify_mask(OCTA, packed, A.elements[mask])
+        assert _classify_mask(OCTA, packed, Z4) == cyclic(4)
         assert _subset_class.cache_info().currsize == 0
 
     def test_cold_alignment_frames_equal_warm(self):
@@ -432,11 +454,11 @@ class TestSweepCaches:
         cold = []
         for a, b in cells:
             self._clear()
-            cold.append(alignment_frames(realize(a), realize(b)))
+            cold.append(alignment_frames(a, b))
         for a, b in cells:
             verify_clips(a, b, samples=20, seed=1)
         for (a, b), frames in zip(cells, cold):
-            warm = alignment_frames(realize(a), realize(b))
+            warm = alignment_frames(a, b)
             assert np.array_equal(warm.view(np.int64), frames.view(np.int64)), (a, b)
 
     def test_random_frames_are_the_seeds(self):
@@ -480,7 +502,7 @@ class TestKernels:
         # membership kernel is the reference for the Frobenius test.
         A, B = realize(ICO), realize(OCTA)
         frames = np.concatenate(
-            [alignment_frames(A, B), random_rotations(200, np.random.default_rng(5))]
+            [alignment_frames(ICO, OCTA), random_rotations(200, np.random.default_rng(5))]
         )
         BC = np.ascontiguousarray(np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames))
         masks = batch_membership(A.elements, BC, MATCH_TOL)
@@ -537,7 +559,7 @@ class TestKernels:
 
         A, B = realize(a), realize(b)
         frames = np.concatenate(
-            [alignment_frames(A, B), random_rotations(100, np.random.default_rng(8))]
+            [alignment_frames(a, b), random_rotations(100, np.random.default_rng(8))]
         )
         # Frame-major and element-major layouts, with B unsorted.
         BC = np.ascontiguousarray(np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames))
@@ -551,13 +573,13 @@ class TestKernels:
         (cyclic(5), ICO), (TETRA, OCTA_MINUS), (d_v(4), d_h(8)), (z_minus(6), OCTA),
     ], ids=str)
     def test_unneeded_elements_never_match(self, a, b):
-        from isoclips.oracle.verify import _conjugates, _elements_key, _needed
+        from isoclips.oracle.verify import _conjugates, _needed
 
         A, B = realize(a), realize(b)
-        needed = _needed(_elements_key(A), _elements_key(B), MATCH_TOL)
+        needed = _needed(a, b)
         assert 0 < len(needed) < B.order
         frames = np.concatenate(
-            [alignment_frames(A, B), random_rotations(200, np.random.default_rng(6))]
+            [alignment_frames(a, b), random_rotations(200, np.random.default_rng(6))]
         )
         full = batch_membership(A.elements, _conjugates(frames, B.elements), MATCH_TOL)
         part = batch_membership(
@@ -576,7 +598,7 @@ class TestKernels:
             batch_membership(A, A[None], tol=1.0)
 
     def test_alignment_frames_are_rotations(self):
-        frames = alignment_frames(realize(TETRA), realize(dihedral(3)))
+        frames = alignment_frames(TETRA, dihedral(3))
         sample = frames[:: max(1, len(frames) // 17)]
         for f in sample:
             assert np.abs(f @ f.T - np.eye(3)).max() < 1e-9
