@@ -115,23 +115,23 @@ def _minus_coset(L: np.ndarray, H: np.ndarray) -> np.ndarray:
     return -H[keep]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MatrixGroup:
-    """A finite set of orthogonal matrices realizing a subgroup class."""
+    """A finite set of orthogonal matrices realizing a subgroup class.
+
+    Frozen, because ``realize`` hands every caller the same cached canonical
+    group: rebinding a field of it would change it for all later callers."""
 
     elements: np.ndarray
     claimed: Optional[SubgroupClass] = None
-    _dets: Optional[np.ndarray] = field(default=None, repr=False)
+    dets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dets", np.sign(np.linalg.det(self.elements)))
 
     @property
     def order(self) -> int:
         return self.elements.shape[0]
-
-    @property
-    def dets(self) -> np.ndarray:
-        if self._dets is None:
-            self._dets = np.sign(np.linalg.det(self.elements))
-        return self._dets
 
     def conjugate(self, frame: np.ndarray) -> "MatrixGroup":
         f = np.asarray(frame, dtype=float)

@@ -296,20 +296,13 @@ def _steps(azimuth_frame: bytes, b: SubgroupClass) -> Tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def alignment_frames(a: SubgroupClass, b: SubgroupClass, max_frames: int = 20000) -> np.ndarray:
+def alignment_frames(a: SubgroupClass, b: SubgroupClass) -> np.ndarray:
     """Curated frames of the canonical groups of two finite classes as one
     (F, 3, 3) array: axis-to-axis alignments with twist angles that make
     secondary axes coincide, plus generic twists that isolate single shared
-    axes.  The identity comes first; at most ``max(max_frames, 1)`` frames."""
-    blocks = [_IDENTITY]
-    room = max_frames - 1
+    axes.  The identity comes first."""
     steps = (_steps(frame, b) for frame in _axes_of(a).frames)
-    for block in itertools.chain.from_iterable(steps):
-        if room <= 0:
-            break
-        blocks.append(block[:room])
-        room -= len(blocks[-1])
-    return np.concatenate(blocks)
+    return np.concatenate([_IDENTITY, *itertools.chain.from_iterable(steps)])
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .groups import (
     d_h,
     d_v,
     dihedral,
+    render_class,
     type_ii,
     z_minus,
 )
@@ -50,16 +51,8 @@ class ParseError(ValueError):
 
 
 _FIXED_CLASSES = {
-    "1": TRIV,
-    "T": TETRA,
-    "O": OCTA,
-    "I": ICO,
-    "SO(2)": SO2,
-    "O(2)": O2,
-    "SO(3)": SO3,
-    "O^-": OCTA_MINUS,
-    "O(2)^-": O2_MINUS,
-    "O(3)": O3_FULL,
+    render_class(c): c
+    for c in (TRIV, TETRA, OCTA, ICO, SO2, O2, SO3, OCTA_MINUS, O2_MINUS, O3_FULL)
 }
 
 _PARAM_CLASS = re.compile(r"^(Z|D)(\d+)(\^-|\^v|\^h)?$")

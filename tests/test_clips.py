@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -19,7 +20,6 @@ from isoclips import (
     UnsupportedClipsError,
     clips_pair,
     clips_pair_detailed,
-    clips_params,
     clips_sets,
     cyclic,
     d_h,
@@ -28,31 +28,14 @@ from isoclips import (
     type_ii,
     z_minus,
 )
+from isoclips import clips as clips_module
+from test_properties import clipsable
 
 SO3_CTX, O3_CTX = Context.SO3, Context.O3
 
 
 def cs(*items):
     return ClassSet(items)
-
-
-class TestClipsParams:
-    def test_direct_gcd_arithmetic(self):
-        p = clips_params(6, 4)
-        assert (p.d, p.dz, p.d4, p.i_n) == (2, 2, 1, 1)
-        p = clips_params(3, 5)
-        assert (p.d, p.dz, p.d3, p.d5, p.i_n) == (1, 1, 3, 1, 2)
-        p = clips_params(8, 12)
-        assert (p.d, p.d4, p.dz) == (4, 4, 2)
-
-    def test_symmetric_fields(self):
-        for n, m in [(6, 4), (9, 15), (2, 7)]:
-            a, b = clips_params(n, m), clips_params(m, n)
-            assert a.d == b.d and a.dz == b.dz
-
-    def test_k2_complement(self):
-        assert clips_params(3, 1).k2 == 2
-        assert clips_params(4, 1).k2 == 1
 
 
 class TestRotationCells:
@@ -301,6 +284,41 @@ class TestRuleIds:
     def test_oracle_adjusted_cells_are_flagged(self):
         for pair in [(TETRA, TETRA), (ICO, ICO), (ICO, OCTA)]:
             assert clips_pair_detailed(SO3_CTX, *pair).rule_id.endswith("+oracle")
+
+
+class TestCellTable:
+    """Every ``_CELLS`` row is reached, and every pair that reaches the table
+    lookup finds a row."""
+
+    ORACLE_IDS = {
+        "Table1:T-T+oracle", "Table1:I-O+oracle", "Table1:I-I+oracle",
+        "Table1:O2-Dn+oracle", "LemmaB.6+oracle", "LemmaB.8+oracle",
+        "CorollaryB.12+oracle", "CorollaryB.13+oracle",
+    }
+
+    def test_every_row_reached_and_every_lookup_keyed(self, monkeypatch):
+        looked_up = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                looked_up.add(key)
+                return dict.__getitem__(self, key)
+
+        monkeypatch.setattr(clips_module, "_CELLS", Recording(clips_module._CELLS))
+        clips_pair_detailed.cache_clear()
+        try:
+            for ctx in (SO3_CTX, O3_CTX):
+                classes = [c for c in clipsable(ctx, 16) if not c.is_type_ii]
+                for a, b in itertools.product(classes, repeat=2):
+                    clips_pair_detailed(ctx, a, b)
+        finally:
+            clips_pair_detailed.cache_clear()
+        assert looked_up == set(clips_module._CELLS)
+
+    def test_oracle_flagged_rows(self):
+        flagged = {rule_id for rule_id, _ in clips_module._CELLS.values()
+                   if rule_id.endswith("+oracle")}
+        assert flagged == self.ORACLE_IDS
 
 
 class TestClipsSets:
