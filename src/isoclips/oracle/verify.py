@@ -40,14 +40,16 @@ Only work that can change a report is done.
 
 * Conjugation keeps the ``invariants`` of an element, ``trace + 8 det``.
   ``|tr X - tr Y| <= sqrt(3) ||X - Y||_F``, and a det mismatch gives
-  ``||X - Y||_F >= 2``, so with ``tol = MATCH_TOL`` an element of B whose
-  invariant is farther than ``match_window(tol)`` from every invariant of A
-  lies over ``2 tol`` from every element of A in every frame.  It can pass
-  neither the Frobenius test of ``batch_membership`` nor the entrywise test
-  at ``tol / 100`` of the tight retry (entrywise within t gives Frobenius
-  within 3t), so only the other elements are conjugated.  In a criterion-6 sweep they are 38.6% of
-  B's elements, and ``batch_membership`` compares the 12.2% of element
-  pairs whose invariants agree.
+  ``||X - Y||_F >= 2``, so with ``tol = MATCH_TOL`` two elements whose
+  invariants are farther apart than ``match_window(tol)`` lie over
+  ``2 tol`` apart in every frame.  Such a pair can pass neither the
+  Frobenius test of ``batch_membership`` nor the entrywise test at
+  ``tol / 100`` of the tight retry (entrywise within t gives Frobenius
+  within 3t).  So each cell builds one match plan (``match_plan``) from
+  the invariant runs of A and of B: only the elements of B in runs with a
+  partner run of A are conjugated, and each run is compared only with the
+  elements of A in its partner runs.  In a criterion-6 sweep that is 38.6%
+  of B's elements and 12.2% of the element pairs.
 * Frames go through in chunks of at most ``ROW_BUDGET`` (frame, element)
   rows.  Each chunk's new masks are classified in the order of their first
   frame, and masks seen in an earlier chunk are skipped, so each class keeps
@@ -79,8 +81,8 @@ so a class stands for its group's elements in a key.
 * ``_random_frames``: ``random_rotations(samples, default_rng(seed))``, a
   function of (samples, seed); every cell at one seed draws the same frames.
   It keeps two keys, as the array grows with ``samples``.
-* ``_sorted_invariants``: the invariants of a class's elements, in order,
-  keyed on the class.
+* ``_runs``: the ``invariant_runs`` of a class's elements, keyed on the
+  class; a cell's plan joins the runs of its two classes.
 * ``_subset_class``: the class of a member subset, keyed on the class of A
   and the packed member mask.  The subset determines both the closure test
   and the class.  A subset that is not closed is never cached: its tight
@@ -101,7 +103,7 @@ import numpy as np
 from ..clips import clips_pair
 from ..groups import ClassSet, Context, SubgroupClass, render_class
 from .classify import _axis_clusters, classify, rotation_axis_angle
-from .kernels import ROW_BUDGET, batch_membership, invariants, match_window
+from .kernels import ROW_BUDGET, batch_membership, invariant_runs, match_plan
 from .realize import MATCH_TOL, MatrixGroup, realize, rotation, rotations
 
 _GENERIC_TWISTS = (0.0, 0.6180339887498949, 1.8392867552141612)
@@ -415,28 +417,13 @@ def _random_frames(samples: int, seed: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _sorted_invariants(cls: SubgroupClass) -> Tuple[np.ndarray, np.ndarray]:
-    """The invariants of the elements of ``realize(cls)`` in increasing
-    order, and the element order that sorts them."""
-    s = invariants(realize(cls).elements)
-    order = np.argsort(s, kind="stable")
-    out = s[order], order
-    for a in out:
-        a.flags.writeable = False
+def _runs(cls: SubgroupClass) -> Tuple[np.ndarray, ...]:
+    """``invariant_runs`` of the elements of ``realize(cls)`` at
+    ``MATCH_TOL``."""
+    out = invariant_runs(realize(cls).elements, MATCH_TOL)
+    for x in out:
+        x.flags.writeable = False
     return out
-
-
-def _needed(a: SubgroupClass, b: SubgroupClass) -> np.ndarray:
-    """Indices of the elements of ``realize(b)`` whose invariants come within
-    ``match_window(MATCH_TOL)`` of an element of ``realize(a)``, sorted by
-    invariant."""
-    sa = _sorted_invariants(a)[0]
-    sb, order = _sorted_invariants(b)
-    window = match_window(MATCH_TOL)
-    # The least invariant of A at or above sb - window is within the window
-    # of sb if any is.
-    near = np.minimum(np.searchsorted(sa, sb - window), len(sa) - 1)
-    return order[np.abs(sa[near] - sb) <= window]
 
 
 def _witnesses(a: SubgroupClass, b: SubgroupClass,
@@ -445,8 +432,9 @@ def _witnesses(a: SubgroupClass, b: SubgroupClass,
     A and B of a and b over the frames f of ``F``, each with the first frame
     that reaches it."""
     elements_a = realize(a).elements
-    # Only these elements of B can match an element of A in any frame.
-    B_needed = np.ascontiguousarray(realize(b).elements[_needed(a, b)])
+    # Only the needed elements of B can match an element of A in any frame.
+    needed, blocks = match_plan(elements_a, _runs(a), _runs(b), MATCH_TOL)
+    B_needed = np.ascontiguousarray(realize(b).elements[needed])
     # Classify each distinct mask once, visiting them in the order of their
     # first frame, chunk after chunk: the first frame to reach a class stays
     # its witness.
@@ -456,7 +444,7 @@ def _witnesses(a: SubgroupClass, b: SubgroupClass,
     for start in range(0, len(F), step):
         frames = F[start:start + step]
         BC = _conjugates(frames, B_needed)
-        packed = np.packbits(batch_membership(elements_a, BC, MATCH_TOL), axis=1)
+        packed = np.packbits(batch_membership(elements_a, BC, MATCH_TOL, blocks), axis=1)
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first = np.unique(rows, return_index=True)
         for f_idx in np.sort(first):

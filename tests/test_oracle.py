@@ -32,8 +32,15 @@ from isoclips.oracle import (
     rotation,
     verify_clips,
 )
-from isoclips.oracle.kernels import batch_membership, closure_ok, membership
+from isoclips.oracle.kernels import (batch_membership, closure_ok, invariant_runs, match_plan,
+                                     membership)
 from isoclips.oracle.realize import ORTHO_TOL, PHI, _ico_elements_cached, rotations
+
+
+def _plan(A, B, tol):
+    """The match plan of element arrays A and B at ``tol``."""
+    return match_plan(A, invariant_runs(A, tol), invariant_runs(B, tol), tol)
+
 
 FINITE_SAMPLE = [
     TRIV,
@@ -390,7 +397,7 @@ class TestSweepCaches:
     gives, whatever ran before."""
 
     CACHES = ("_subset_class", "_steps", "_frame_block", "_axes_of", "_random_frames",
-              "_sorted_invariants")
+              "_runs")
 
     @classmethod
     def _clear(cls):
@@ -418,7 +425,8 @@ class TestSweepCaches:
             [alignment_frames(a, b), random_rotations(200, np.random.default_rng(0))]
         )
         BC = np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames)
-        masks = np.unique(batch_membership(A.elements, BC, MATCH_TOL), axis=0)
+        needed, blocks = _plan(A.elements, B.elements, MATCH_TOL)
+        masks = np.unique(batch_membership(A.elements, BC[:, needed], MATCH_TOL, blocks), axis=0)
         for mask in masks:
             packed = np.packbits(mask).tobytes()
             mats = np.ascontiguousarray(A.elements[mask])
@@ -508,7 +516,8 @@ class TestKernels:
             [alignment_frames(ICO, OCTA), random_rotations(200, np.random.default_rng(5))]
         )
         BC = np.ascontiguousarray(np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames))
-        masks = batch_membership(A.elements, BC, MATCH_TOL)
+        needed, blocks = _plan(A.elements, B.elements, MATCH_TOL)
+        masks = batch_membership(A.elements, BC[:, needed], MATCH_TOL, blocks)
         expected = np.array([membership(A.elements, bc, MATCH_TOL) for bc in BC])
         assert np.array_equal(masks, expected)
         assert masks.sum(axis=1).max() == 12  # the T shared at the identity frame
@@ -529,10 +538,38 @@ class TestKernels:
         G = realize(cls).elements
         n = len(G)
         hit = self._hits(G)
-        assert np.array_equal(_matches(_products(G), G, MATCH_TOL), hit)
+        assert np.array_equal(_matches(_products(G, G), G, MATCH_TOL), hit)
         assert hit.any(axis=1).all() and closure_ok(G, MATCH_TOL)
         part = G[: n // 3]
         assert not self._hits(part).any(axis=1).all() and not closure_ok(part, MATCH_TOL)
+
+    @pytest.mark.parametrize("cls", [ICO, type_ii(ICO)], ids=str)
+    def test_closure_equals_match_table_reference(self, cls):
+        from isoclips.oracle.kernels import _matches, _products
+
+        G = realize(cls).elements
+        rng = np.random.default_rng(4)
+        subsets = [G, G[:60], G[: len(G) // 3]]  # closed, closed, open
+        subsets += [G[rng.random(len(G)) < p] for p in (0.3, 0.6, 0.9, 0.97)]
+        for tol in (MATCH_TOL / 100.0, MATCH_TOL, 1e-3):
+            for H in subsets:
+                H = np.ascontiguousarray(H)
+                expected = _matches(_products(H, H), H, tol).any(axis=1).all()
+                assert closure_ok(H, tol) == expected, (len(H), tol)
+
+    @pytest.mark.parametrize("cls", [cyclic(200), dihedral(100)], ids=str)
+    def test_closure_of_large_groups(self, cls):
+        G = realize(cls).elements
+        assert len(G) == 200 and closure_ok(G, MATCH_TOL)
+        # Move the half turn about z by d in entry (0, 2).  Its square stays
+        # I, its other products move by at most d, and the products that
+        # give the half turn stay where they were.
+        half = np.flatnonzero(np.abs(G - rotation([0, 0, 1], pi)).max(axis=(1, 2)) < 1e-12)
+        assert len(half) == 1
+        for d, closed in [(2 * MATCH_TOL, False), (MATCH_TOL / 2, True)]:
+            moved = G.copy()
+            moved[half[0], 0, 2] += d
+            assert closure_ok(moved, MATCH_TOL) == closed, d
 
     def test_closure_memory_is_bounded(self):
         import tracemalloc
@@ -555,7 +592,7 @@ class TestKernels:
         (type_ii(ICO), OCTA_MINUS),
         (cyclic(5), ICO),  # B has third and half turns, A has neither
         (TETRA, OCTA_MINUS),  # B's improper elements have no match in A
-        (ICO, ICO),  # more rows than ROW_BUDGET: several blocks of frames
+        (ICO, ICO),  # every element of B is needed
     ], ids=str)
     def test_blocked_batch_equals_entrywise_reference(self, a, b, tol):
         from isoclips.oracle.verify import _conjugates
@@ -564,41 +601,89 @@ class TestKernels:
         frames = np.concatenate(
             [alignment_frames(a, b), random_rotations(100, np.random.default_rng(8))]
         )
-        # Frame-major and element-major layouts, with B unsorted.
+        # The reference is over all of B; the plan's elements of B go in
+        # frame-major and in element-major layout.
         BC = np.ascontiguousarray(np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames))
         expected = np.array([membership(A.elements, bc, tol) for bc in BC])
-        assert np.array_equal(batch_membership(A.elements, BC, tol), expected)
-        BC = _conjugates(frames, B.elements)
-        assert np.array_equal(batch_membership(A.elements, BC, tol), expected)
+        needed, blocks = _plan(A.elements, B.elements, tol)
+        assert np.array_equal(batch_membership(A.elements, BC[:, needed], tol, blocks), expected)
+        BC = _conjugates(frames, B.elements[needed])
+        assert np.array_equal(batch_membership(A.elements, BC, tol, blocks), expected)
         assert expected[0].any() and not expected.all()
 
     @pytest.mark.parametrize("a,b", [
         (cyclic(5), ICO), (TETRA, OCTA_MINUS), (d_v(4), d_h(8)), (z_minus(6), OCTA),
+        (ICO, ICO),  # more rows than ROW_BUDGET: several chunks of frames
     ], ids=str)
-    def test_unneeded_elements_never_match(self, a, b):
-        from isoclips.oracle.verify import _conjugates, _needed
+    def test_plan_is_complete(self, a, b):
+        # The plan that verify_clips builds covers every pair of elements
+        # whose invariants lie within the window, and over chunks of frames
+        # taken as verify_clips takes them its masks equal the entrywise
+        # reference over all of B.
+        from isoclips.oracle.kernels import ROW_BUDGET, invariants, match_window
+        from isoclips.oracle.verify import _conjugates, _runs
 
         A, B = realize(a), realize(b)
-        needed = _needed(a, b)
-        assert 0 < len(needed) < B.order
+        needed, blocks = match_plan(A.elements, _runs(a), _runs(b), MATCH_TOL)
+        if a == b:
+            assert sorted(needed.tolist()) == list(range(B.order))
+        else:
+            assert 0 < len(needed) < B.order
+            assert len(set(needed.tolist())) == len(needed)
+        assert [j0 for j0, _, _, _ in blocks] == [0] + [j1 for _, j1, _, _ in blocks[:-1]]
+        assert blocks[-1][1] == len(needed)
+        near = (np.abs(invariants(B.elements)[:, None] - invariants(A.elements))
+                <= match_window(MATCH_TOL))
+        covered = np.zeros_like(near)
+        for j0, j1, rows, block_a in blocks:
+            covered[np.ix_(needed[j0:j1], rows)] = True
+            assert np.array_equal(block_a, A.elements[rows].reshape(-1, 9).T)
+        assert near.any() and not (near & ~covered).any()
+
         frames = np.concatenate(
             [alignment_frames(a, b), random_rotations(200, np.random.default_rng(6))]
         )
-        full = batch_membership(A.elements, _conjugates(frames, B.elements), MATCH_TOL)
-        part = batch_membership(
-            A.elements, _conjugates(frames, B.elements[needed]), MATCH_TOL)
-        assert np.array_equal(part, full)
+        step = ROW_BUDGET // len(needed)
+        chunks = [batch_membership(A.elements, _conjugates(frames[s:s + step], B.elements[needed]),
+                                   MATCH_TOL, blocks)
+                  for s in range(0, len(frames), step)]
+        if a == b:
+            assert len(chunks) > 2
+        BC = np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames)
+        expected = np.array([membership(A.elements, bc, MATCH_TOL) for bc in BC])
+        assert np.array_equal(np.concatenate(chunks), expected)
+
+    def test_plan_joins_runs_that_share_a_row(self):
+        # Rotations about z near a quarter turn, whose invariants step by 0.9
+        # window: A's three form one run, which partners both runs of B, and
+        # each run of B holds an exact match.  Two blocks share A's rows, and
+        # neither block's matches overwrite the other's.
+        from isoclips.oracle.kernels import match_window
+
+        tol = 1e-3
+        angles = pi / 2 + 0.45 * match_window(tol) * np.arange(3)
+        A = rotations(np.tile([0.0, 0.0, 1.0], (3, 1)), angles)
+        B = A[[0, 2]]
+        needed, blocks = _plan(A, B, tol)
+        assert [sorted(rows.tolist()) for _, _, rows, _ in blocks] == [[0, 1, 2]] * 2
+        # Turns about z keep every match; the random frame keeps none.
+        frames = np.concatenate([rotations(np.tile([0.0, 0.0, 1.0], (3, 1)), [0.0, 0.7, 2.1]),
+                                 random_rotations(1, np.random.default_rng(2))])
+        BC = np.einsum("fab,nbc,fdc->fnad", frames, B[needed], frames)
+        expected = np.array([membership(A, bc, tol) for bc in BC])
+        assert expected.tolist() == [[True, False, True]] * 3 + [[False] * 3]
+        assert np.array_equal(batch_membership(A, BC, tol, blocks), expected)
 
     def test_batch_rejects_tight_tolerance(self):
         A = realize(OCTA).elements
         with pytest.raises(ValueError):
-            batch_membership(A, A[None], tol=1e-8)
+            batch_membership(A, A[None], tol=1e-8, blocks=[])
 
     def test_batch_rejects_loose_tolerance(self):
         # At tol >= 1 the invariant window no longer separates determinants.
         A = realize(OCTA).elements
         with pytest.raises(ValueError):
-            batch_membership(A, A[None], tol=1.0)
+            batch_membership(A, A[None], tol=1.0, blocks=[])
 
     def test_alignment_frames_are_rotations(self):
         frames = alignment_frames(TETRA, dihedral(3))
