@@ -26,6 +26,14 @@ A and gBg^-1 share, the axis of its rotation image ``det(h) h``.
   no second pair of axes meets.  Those t are among the step's listed
   twists, with 0 when the canonical frames line up, so one of the three
   ``_GENERIC_TWISTS`` must miss them all.
+* The rotations ``det(x) x`` of B's image that fix sv, n of them, are the
+  turns ``R(sv, phi)`` by the multiples phi of ``2 pi / n``.  Each maps B
+  onto itself by conjugation, as its x does, and ``rotation(u, t + phi) @
+  base = rotation(u, t) @ base @ R(sv, phi)``, so twists ``2 pi / n`` apart
+  give one intersection.  Each step keeps the first of its listed twists in
+  each class modulo ``2 pi / n``.  A dropped twist comes after its kept twin
+  in the same step, so it is never the first frame to reach a class, and
+  the witnesses are those of the full list.
 * With no shared axis the intersection is 1, or {I, -I} if both groups
   hold -I; ``_GENERIC_FRAME`` gives it.
 
@@ -67,17 +75,19 @@ so a class stands for its group's elements in a key.
 * ``_axes_of``: the characteristic axes of a class's group, keyed on the
   class; the azimuth frame of one axis u per orbit, as the bytes of u, the
   cosines to u and the exact azimuths about u of the group's off-axis signed
-  axes; and the bytes of each representative in both signs.
+  axes; the bytes of each representative in both signs, and the order of
+  its stabiliser.
 * ``_steps``: for an azimuth frame of A and the class of B, the frames of
   each alignment step: a signed B representative sent to u, then twisted
   about u by the generic twists and by the azimuth differences of axes at
-  equal cosines.  The azimuth frame stays a byte key, as equal frames are
-  shared across classes: a sweep meets 1248 distinct keys, which cover its
-  10242 steps, where keys on the class of A would be 2242.
+  equal cosines, one twist per class modulo the representative's period.
+  The azimuth frame stays a byte key, as equal frames are shared across
+  classes: a sweep meets 1248 distinct keys, which cover its 10242 steps,
+  where keys on the class of A would be 2242.
 * ``_frame_block``: the frames ``rotation(u, t) @ base`` over a step's
   twists, keyed on the bytes of u, base and the twists, so steps with equal
-  ones, in any classes, share one array.  A sweep's 163775 curated frames
-  come from 868 blocks of 25541 frames in all.
+  ones, in any classes, share one array.  A sweep's 58727 curated frames
+  (163775 with every twist) come from 964 blocks of 9014 frames in all.
 * ``_random_frames``: ``random_rotations(samples, default_rng(seed))``, a
   function of (samples, seed); every cell at one seed draws the same frames.
   It keeps two keys, as the array grows with ``samples``.
@@ -209,30 +219,38 @@ def _unpack_azimuth_frame(key: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarra
 class _Axes(NamedTuple):
     """Characteristic axes of a class; one azimuth frame per orbit: the
     bytes of a representative u, the cosines to u and the exact azimuths
-    about u of the class's off-axis signed axes; and the bytes of each
-    representative in both signs."""
+    about u of the class's off-axis signed axes; the bytes of each
+    representative in both signs, and the order of its stabiliser in the
+    rotation image of the class's group."""
 
     axes: np.ndarray
     frames: Tuple[bytes, ...]
     signed_reps: Tuple[bytes, ...]
+    stabilisers: Tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=256)
 def _axes_of(cls: SubgroupClass) -> _Axes:
     """Characteristic axes of the class's canonical group, one axis per
-    orbit and the azimuth frame of each."""
+    orbit, the azimuth frame of each and the order of its stabiliser."""
     g = realize(cls)
+    image = g.pi_image()
     axes = characteristic_axes(g)
-    reps = _axis_orbit_reps(axes, g.pi_image())
+    reps = _axis_orbit_reps(axes, image)
     signed = _signed(axes)
     frames = []
     for u in reps:
         e1, e2 = _perpendicular(u)
         ws = signed[_off_axis(signed, e1, e2)]
         frames.append(u.tobytes() + (ws @ u).tobytes() + _azimuths(ws, e1, e2).tobytes())
+    # The rotations fixing each representative; in a group with -I, x and
+    # -x have one image, so each rotation is counted twice.
+    fixed = np.abs(np.einsum("rij,aj->ari", image, reps) - reps[:, None]).max(axis=2) < 1e-7
+    stabilisers = fixed.sum(axis=1) // (2 if g.contains_minus_id() else 1)
     # Cached results are shared by every caller.
     axes.flags.writeable = False
-    return _Axes(axes, tuple(frames), tuple(sv.tobytes() for sv in _signed(reps)))
+    return _Axes(axes, tuple(frames), tuple(sv.tobytes() for sv in _signed(reps)),
+                 tuple(int(n) for n in stabilisers for _ in "+-"))
 
 
 def _alignment(u: np.ndarray, sv: np.ndarray, b: SubgroupClass):
@@ -284,8 +302,9 @@ def _steps(azimuth_frame: bytes, b: SubgroupClass) -> Tuple[np.ndarray, ...]:
     its axis u, into B: one block per signed B axis representative sv, in
     order, of sv sent to u and then twisted about u."""
     u, cosines, azimuths = _unpack_azimuth_frame(azimuth_frame)
+    axes_b = _axes_of(b)
     blocks = []
-    for sv in _axes_of(b).signed_reps:
+    for sv, n in zip(axes_b.signed_reps, axes_b.stabilisers):
         base, b_cosines, b_azimuths = _alignment(u, np.frombuffer(sv), b)
         # Pairs of A- and B-axes at the same angle to u: twisting by their
         # azimuth difference makes them coincide.
@@ -293,8 +312,17 @@ def _steps(azimuth_frame: bytes, b: SubgroupClass) -> Tuple[np.ndarray, ...]:
         twists = set(_GENERIC_TWISTS)
         if len(ib):
             twists.update(_round9((azimuths[ia] - b_azimuths[ib]) % (2 * pi)).tolist())
+        # Twists a multiple of 2 pi / n apart differ by a rotation of B about
+        # sv, so they conjugate B alike: keep the first twist of each class,
+        # keyed by its residue in units of 1e-7 rad, a residue that rounds
+        # to the period counting as 0.
+        period = 2 * pi / n
+        units = round(period * 1e7)
+        kept = {}
+        for t in sorted(twists):
+            kept.setdefault(round(t % period * 1e7) % units, t)
         blocks.append(_frame_block(u.tobytes() + base.tobytes()
-                                   + np.array(sorted(twists)).tobytes()))
+                                   + np.array(list(kept.values())).tobytes()))
     return tuple(blocks)
 
 

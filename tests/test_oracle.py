@@ -1,3 +1,5 @@
+import functools
+import itertools
 from dataclasses import FrozenInstanceError
 from math import pi
 
@@ -40,6 +42,33 @@ from isoclips.oracle.realize import ORTHO_TOL, PHI, _ico_elements_cached, rotati
 def _plan(A, B, tol):
     """The match plan of element arrays A and B at ``tol``."""
     return match_plan(A, invariant_runs(A, tol), invariant_runs(B, tol), tol)
+
+
+@functools.lru_cache(maxsize=None)
+def _every_twist(azimuth_frame, b):
+    """The frames of each alignment step over every twist: the generic
+    twists and all azimuth differences, sorted, none dropped as equal to
+    another modulo the stabiliser of B's axis."""
+    from isoclips.oracle.verify import (_GENERIC_TWISTS, _alignment, _axes_of, _round9,
+                                        _unpack_azimuth_frame)
+
+    u, cosines, azimuths = _unpack_azimuth_frame(azimuth_frame)
+    blocks = []
+    for sv in _axes_of(b).signed_reps:
+        base, b_cosines, b_azimuths = _alignment(u, np.frombuffer(sv), b)
+        ia, ib = np.nonzero(np.abs(cosines[:, None] - b_cosines) < 1e-6)
+        twists = sorted(set(_GENERIC_TWISTS)
+                        | set(_round9((azimuths[ia] - b_azimuths[ib]) % (2 * pi)).tolist()))
+        blocks.append(rotations(np.repeat(u[None], len(twists), axis=0), twists) @ base)
+    return blocks
+
+
+def _every_twist_frames(a, b):
+    """``alignment_frames(a, b)`` with every twist of each step kept."""
+    from isoclips.oracle.verify import _IDENTITY, _axes_of
+
+    steps = [_every_twist(frame, b) for frame in _axes_of(a).frames]
+    return np.concatenate([_IDENTITY, *itertools.chain.from_iterable(steps)])
 
 
 FINITE_SAMPLE = [
@@ -324,6 +353,42 @@ class TestVerifyClips:
         ]
         assert failures == []
 
+    def test_twists_modulo_the_stabiliser_keep_every_witness(self):
+        # A step drops a twist only after a kept one of the same class
+        # modulo 2 pi / n_sv, which conjugates B alike; so on every cell the
+        # kept frames reach the classes of every twist, each with the same
+        # first frame.
+        from isoclips.oracle.verify import _GENERIC_FRAME, _witnesses
+
+        classes = [TRIV, TETRA, OCTA, ICO, OCTA_MINUS]
+        classes += [f(n) for f in (cyclic, dihedral, d_v) for n in range(2, 13)]
+        classes += [z_minus(p) for p in range(2, 13, 2)] + [d_h(p) for p in range(4, 13, 2)]
+        assert len(classes) == 49
+        diffs = []
+        for i, a in enumerate(classes):
+            for b in classes[i:]:
+                kept = _witnesses(a, b, np.concatenate([alignment_frames(a, b), _GENERIC_FRAME]))
+                every = _witnesses(a, b, np.concatenate([_every_twist_frames(a, b),
+                                                         _GENERIC_FRAME]))
+                if kept.keys() != every.keys() or any(
+                        not np.array_equal(kept[c], every[c]) for c in every):
+                    diffs.append((str(a), str(b)))
+        assert diffs == []
+
+    @pytest.mark.parametrize("cls,orders", [
+        (cyclic(6), (6,)), (dihedral(6), (6, 2, 2)), (TETRA, (2, 3)), (OCTA, (4, 3, 2)),
+        (OCTA_MINUS, (4, 3, 2)), (ICO, (5, 3, 2)), (z_minus(6), (6,)), (d_h(8), (8, 2, 2)),
+        (TRIV, (1,)), (type_ii(OCTA), (4, 3, 2)),
+    ], ids=str)
+    def test_stabiliser_orders(self, cls, orders):
+        # Per axis orbit representative, in both signs: the rotations of
+        # the class's rotation image that fix it, each counted once.
+        from isoclips.oracle.verify import _axes_of
+
+        axes = _axes_of(cls)
+        assert axes.stabilisers == tuple(n for n in orders for _ in "+-")
+        assert len(axes.signed_reps) == len(axes.stabilisers)
+
     def test_report_json(self):
         rep = verify_clips(dihedral(4), dihedral(6), samples=150, seed=11)
         data = rep.to_json()
@@ -351,18 +416,19 @@ class TestVerifyClips:
         (ICO, ICO, 0),
     ], ids=str)
     def test_witness_is_first_frame_of_its_class(self, a, b, seed):
-        # Per-frame reference over the curated, random and generic frames:
-        # each class's witness is the first frame whose intersection has that
-        # class (with the same tight retry).
+        # Per-frame reference over the curated frames of every twist, the
+        # random frames and the generic frame: each class's witness is the
+        # first frame whose intersection has that class (with the same tight
+        # retry).
         from isoclips.oracle.kernels import ROW_BUDGET
         from isoclips.oracle.verify import _GENERIC_FRAME
 
         A, B = realize(a), realize(b)
-        curated = alignment_frames(a, b)
-        if a == b == ICO:  # 965 frames: verify_clips takes them in many chunks
-            assert len(curated) + 200 + 1 == 965
-            assert 965 * B.order > 10 * ROW_BUDGET
-        frames = (list(curated) + list(random_rotations(200, np.random.default_rng(seed)))
+        if a == b == ICO:  # 506 frames: verify_clips takes them in many chunks
+            assert len(alignment_frames(a, b)) + 200 + 1 == 506
+            assert 506 * B.order > 7 * ROW_BUDGET
+        frames = (list(_every_twist_frames(a, b))
+                  + list(random_rotations(200, np.random.default_rng(seed)))
                   + list(_GENERIC_FRAME))
         first = {}
         for f in frames:
