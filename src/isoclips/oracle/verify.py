@@ -58,12 +58,17 @@ Only work that can change a report is done.
   partner run of A are conjugated, and each run is compared only with the
   elements of A in its partner runs.  In a criterion-6 sweep that is 38.6%
   of B's elements and 12.2% of the element pairs.
-* Frames go through in chunks of at most ``ROW_BUDGET`` (frame, element)
-  rows.  Each chunk's new masks are classified in the order of their first
-  frame, and masks seen in an earlier chunk are skipped, so each class keeps
-  its first frame as witness and each tight retry gets that frame's
-  conjugates, as without chunks.  What stays O(samples) is the frame array,
-  72 bytes a frame, and the cached random frames.
+* A cell's frames are its curated frames, then the shared frames: the
+  random frames and the generic frame, alike in every cell at one seed.
+  They go through in chunks of at most ``ROW_BUDGET`` (frame, element)
+  rows, each conjugated by (9, 9 frames) Kronecker factors written into the
+  columns of one product (``_conjugates``): the curated frames' factor is
+  built per chunk, the shared frames' is read from cached pieces.  Each
+  chunk's new masks are classified in the order of their first frame, and
+  masks seen in an earlier chunk are skipped, so each class keeps its first
+  frame as witness and each tight retry gets that frame's conjugates, as
+  without chunks.  What stays O(samples) is the cached random frames, 72
+  bytes a frame; the shared factor passes through a bounded cache.
 
 A sweep over many cells repeats most of its work, so each distinct piece is
 done once per process and kept in a bounded cache that holds a full
@@ -91,6 +96,10 @@ so a class stands for its group's elements in a key.
 * ``_random_frames``: ``random_rotations(samples, default_rng(seed))``, a
   function of (samples, seed); every cell at one seed draws the same frames.
   It keeps two keys, as the array grows with ``samples``.
+* ``_shared_factor``: the Kronecker factor of the shared frames in pieces
+  of ``_PIECE`` frames, keyed on (samples, seed, piece); the piece grid
+  does not depend on the cell.  A criterion-6 sweep reads its 201 shared
+  frames, 80% of its 306177 cell frames, from one piece built once.
 * ``_runs``: the ``invariant_runs`` of a class's elements, keyed on the
   class; a cell's plan joins the runs of its two classes.
 * ``_subset_class``: the class of a member subset, keyed on the class of A
@@ -424,16 +433,11 @@ def _classify_mask(a: SubgroupClass, packed: bytes, BC_f: np.ndarray) -> Subgrou
     return classify(MatrixGroup(mats))
 
 
-def _conjugates(F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """(frames, len(G), 3, 3) array of F[f] @ G[n] @ F[f].T, stored with
-    each element's frames contiguous, as ``batch_membership`` reads them.
-
-    Row-major ``vec(f X f^T) = (f kron f) vec(X)``, so all frames are one
-    (len(G), 9) x (9, 9 frames) matrix product.
-    """
-    kron = np.einsum("fab,fdc->bcfad", F, F).reshape(9, 9 * len(F))
-    out = G.reshape(-1, 9) @ kron
-    return out.reshape(len(G), len(F), 3, 3).swapaxes(0, 1)
+def _kron(F: np.ndarray) -> np.ndarray:
+    """The (9, 9 len(F)) factor whose columns 9f:9f+9 are ``F[f] kron F[f]``
+    transposed: row-major ``vec(f X f^T) = (f kron f) vec(X)``, so
+    ``G.reshape(-1, 9) @ _kron(F)`` conjugates every G[n] by every F[f]."""
+    return np.einsum("fab,fdc->bcfad", F, F).reshape(9, 9 * len(F))
 
 
 @functools.lru_cache(maxsize=2)
@@ -442,6 +446,63 @@ def _random_frames(samples: int, seed: int) -> np.ndarray:
     out = random_rotations(samples, np.random.default_rng(seed))
     out.flags.writeable = False
     return out
+
+
+# Shared frames per piece: one piece holds the 201 shared frames of a
+# 200-sample cell, 166 KB at 648 bytes a frame.
+_PIECE = 256
+# Pieces kept: every piece of one seed up to 4095 samples, so a sweep at that
+# size builds each once; a larger run streams through at most 2.7 MB.
+_PIECES = 16
+
+
+@functools.lru_cache(maxsize=_PIECES)
+def _shared_factor(samples: int, seed: int, piece: int) -> np.ndarray:
+    """``_kron`` of the shared frames ``piece * _PIECE`` onward, at most
+    ``_PIECE`` of them: the shared frames are ``_random_frames(samples,
+    seed)`` and then ``_GENERIC_FRAME``, alike in every cell at one seed."""
+    lo = piece * _PIECE
+    frames = _random_frames(samples, seed)[lo:lo + _PIECE]
+    if lo + _PIECE > samples:
+        frames = np.concatenate([frames, _GENERIC_FRAME])
+    out = _kron(frames)
+    out.flags.writeable = False
+    return out
+
+
+def _conjugates(G: np.ndarray, curated: np.ndarray, samples: int, seed: int,
+                start: int, stop: int) -> np.ndarray:
+    """(stop - start, len(G), 3, 3) array of f @ G[n] @ f.T over the frames
+    f of ``start:stop`` in a cell's frame list, the curated frames and then
+    the shared ones, stored with each element's frames contiguous, as
+    ``batch_membership`` reads them.
+
+    Each run of frames is one (len(G), 9) x (9, 9 frames) matrix product
+    written into its columns of the output: the curated frames' factor is
+    built here, the shared frames' comes from the pieces of
+    ``_shared_factor``.
+    """
+    G9 = G.reshape(-1, 9)
+    out = np.empty((len(G), 9 * (stop - start)))
+    i = min(max(start, len(curated)), stop)
+    if start < i:
+        np.matmul(G9, _kron(curated[start:i]), out=out[:, :9 * (i - start)])
+    while i < stop:
+        piece, lo = divmod(i - len(curated), _PIECE)
+        j = min(stop, i + _PIECE - lo)
+        np.matmul(G9, _shared_factor(samples, seed, piece)[:, 9 * lo:9 * (lo + j - i)],
+                  out=out[:, 9 * (i - start):9 * (j - start)])
+        i = j
+    return out.reshape(len(G), stop - start, 3, 3).swapaxes(0, 1)
+
+
+def _frame(curated: np.ndarray, samples: int, seed: int, i: int) -> np.ndarray:
+    """Frame i of a cell's frame list, as a new array."""
+    if i < len(curated):
+        return curated[i].copy()
+    if i < len(curated) + samples:
+        return _random_frames(samples, seed)[i - len(curated)].copy()
+    return _GENERIC_FRAME[0].copy()
 
 
 @functools.lru_cache(maxsize=256)
@@ -454,11 +515,12 @@ def _runs(cls: SubgroupClass) -> Tuple[np.ndarray, ...]:
     return out
 
 
-def _witnesses(a: SubgroupClass, b: SubgroupClass,
-               F: np.ndarray) -> Dict[SubgroupClass, np.ndarray]:
+def _witnesses(a: SubgroupClass, b: SubgroupClass, curated: np.ndarray,
+               samples: int, seed: int) -> Dict[SubgroupClass, np.ndarray]:
     """The class of each intersection ``A n fBf^-1`` of the canonical groups
-    A and B of a and b over the frames f of ``F``, each with the first frame
-    that reaches it."""
+    A and B of a and b over the frames f of the curated frames, then
+    ``_random_frames(samples, seed)`` and ``_GENERIC_FRAME``, each with the
+    first frame that reaches it."""
     elements_a = realize(a).elements
     # Only the needed elements of B can match an element of A in any frame.
     needed, blocks = match_plan(elements_a, _runs(a), _runs(b), MATCH_TOL)
@@ -468,10 +530,10 @@ def _witnesses(a: SubgroupClass, b: SubgroupClass,
     # its witness.
     witnesses: Dict[SubgroupClass, np.ndarray] = {}
     seen = set()
+    count = len(curated) + samples + 1
     step = max(1, ROW_BUDGET // len(B_needed))
-    for start in range(0, len(F), step):
-        frames = F[start:start + step]
-        BC = _conjugates(frames, B_needed)
+    for start in range(0, count, step):
+        BC = _conjugates(B_needed, curated, samples, seed, start, min(start + step, count))
         packed = np.packbits(batch_membership(elements_a, BC, MATCH_TOL, blocks), axis=1)
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first = np.unique(rows, return_index=True)
@@ -482,7 +544,7 @@ def _witnesses(a: SubgroupClass, b: SubgroupClass,
             seen.add(mask)
             c = _classify_mask(a, mask, BC[f_idx])
             if c not in witnesses:
-                witnesses[c] = frames[f_idx].copy()
+                witnesses[c] = _frame(curated, samples, seed, start + int(f_idx))
     return witnesses
 
 
@@ -491,8 +553,7 @@ def find_witness(a: SubgroupClass, b: SubgroupClass,
     """The first frame f of ``alignment_frames(a, b)`` and the generic frame
     for which ``realize(a) n realize(b, f)`` has class ``target``, or None if
     no frame has it."""
-    F = np.concatenate([alignment_frames(a, b), _GENERIC_FRAME])
-    return _witnesses(a, b, F).get(target)
+    return _witnesses(a, b, alignment_frames(a, b), 0, 0).get(target)
 
 
 def verify_clips(a: SubgroupClass, b: SubgroupClass, samples: int = 200,
@@ -503,8 +564,7 @@ def verify_clips(a: SubgroupClass, b: SubgroupClass, samples: int = 200,
     ctx = Context.O3 if (a.is_type_iii or b.is_type_iii or a.is_type_ii
                          or b.is_type_ii) else Context.SO3
     table = clips_pair(ctx, a, b)
-    frames = [alignment_frames(a, b), _random_frames(samples, seed), _GENERIC_FRAME]
-    witnesses = _witnesses(a, b, np.concatenate(frames))
+    witnesses = _witnesses(a, b, alignment_frames(a, b), samples, seed)
     observed = ClassSet(witnesses.keys())
     extra = ClassSet(c for c in observed if c not in table)
     missing = ClassSet(c for c in table if c not in observed)

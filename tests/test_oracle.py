@@ -358,7 +358,7 @@ class TestVerifyClips:
         # modulo 2 pi / n_sv, which conjugates B alike; so on every cell the
         # kept frames reach the classes of every twist, each with the same
         # first frame.
-        from isoclips.oracle.verify import _GENERIC_FRAME, _witnesses
+        from isoclips.oracle.verify import _witnesses
 
         classes = [TRIV, TETRA, OCTA, ICO, OCTA_MINUS]
         classes += [f(n) for f in (cyclic, dihedral, d_v) for n in range(2, 13)]
@@ -367,9 +367,8 @@ class TestVerifyClips:
         diffs = []
         for i, a in enumerate(classes):
             for b in classes[i:]:
-                kept = _witnesses(a, b, np.concatenate([alignment_frames(a, b), _GENERIC_FRAME]))
-                every = _witnesses(a, b, np.concatenate([_every_twist_frames(a, b),
-                                                         _GENERIC_FRAME]))
+                kept = _witnesses(a, b, alignment_frames(a, b), 0, 0)
+                every = _witnesses(a, b, _every_twist_frames(a, b), 0, 0)
                 if kept.keys() != every.keys() or any(
                         not np.array_equal(kept[c], every[c]) for c in every):
                     diffs.append((str(a), str(b)))
@@ -446,6 +445,8 @@ class TestVerifyClips:
     def test_memory_is_bounded_by_the_frame_array(self):
         import tracemalloc
 
+        from isoclips.oracle.verify import _shared_factor
+
         tracemalloc.start()
         try:
             rep = verify_clips(ICO, ICO, samples=50_000, seed=2)
@@ -456,6 +457,9 @@ class TestVerifyClips:
         # Frames go through in chunks; all (frames, |B|) conjugates at once
         # would take 440 MB.
         assert peak < 40 * 2**20
+        # The run's 196 pieces of shared factor stream through a bounded cache.
+        info = _shared_factor.cache_info()
+        assert info.misses > info.maxsize and info.currsize <= info.maxsize
 
 
 class TestSweepCaches:
@@ -463,7 +467,7 @@ class TestSweepCaches:
     gives, whatever ran before."""
 
     CACHES = ("_subset_class", "_steps", "_frame_block", "_axes_of", "_random_frames",
-              "_runs")
+              "_shared_factor", "_runs")
 
     @classmethod
     def _clear(cls):
@@ -503,6 +507,61 @@ class TestSweepCaches:
                     with pytest.raises(_NotClosed):
                         _subset_class(a, packed)
         assert _subset_class.cache_info().hits > 0
+
+    @pytest.mark.parametrize("a,b,samples,seed,case", [
+        (cyclic(6), cyclic(4), 200, 0, "one_chunk"),  # a random frame is a witness
+        (ICO, ICO, 200, 0, "cut_curated"),
+        (OCTA, OCTA, 300, 5, "cross_piece"),
+        (cyclic(6), cyclic(4), 0, 0, "no_samples"),  # the generic frame is a witness
+    ], ids=str)
+    def test_shared_pieces_equal_direct_conjugates(self, a, b, samples, seed, case):
+        # Every frame conjugated directly, one mask per frame, each distinct
+        # mask classified at its first frame: the same classes and the same
+        # witness frames, bit for bit, as the shared frames' cached pieces.
+        from isoclips.oracle.kernels import ROW_BUDGET
+        from isoclips.oracle.verify import (_GENERIC_FRAME, _PIECE, _classify_mask, _conjugates,
+                                            _runs, _shared_factor)
+
+        self._clear()
+        A, B = realize(a), realize(b)
+        curated = alignment_frames(a, b)
+        frames = np.concatenate([curated, random_rotations(samples, np.random.default_rng(seed)),
+                                 _GENERIC_FRAME])
+        needed, blocks = match_plan(A.elements, _runs(a), _runs(b), MATCH_TOL)
+        step = ROW_BUDGET // len(needed)
+        starts = range(0, len(frames), step)
+        if case == "one_chunk":
+            assert len(frames) <= step
+        elif case == "cut_curated":
+            assert len(curated) > step and any(s < len(curated) < s + step for s in starts)
+        elif case == "cross_piece":
+            assert samples + 1 > _PIECE
+            assert any(s < len(curated) + _PIECE < s + step for s in starts)
+        BC = np.einsum("fab,nbc,fdc->fnad", frames, B.elements[needed], frames)
+        for s in starts:
+            e = min(s + step, len(frames))
+            chunk = _conjugates(B.elements[needed], curated, samples, seed, s, e)
+            assert np.allclose(chunk, BC[s:e], rtol=0.0, atol=1e-12), s
+        first, seen = {}, set()
+        for f, mask in enumerate(batch_membership(A.elements, BC, MATCH_TOL, blocks)):
+            packed = np.packbits(mask).tobytes()
+            if packed not in seen:
+                seen.add(packed)
+                first.setdefault(_classify_mask(a, packed, BC[f]), f)
+        if case == "one_chunk":
+            assert len(curated) <= max(first.values()) < len(frames) - 1
+        elif case == "no_samples":
+            assert len(frames) - 1 in first.values()
+
+        rep = verify_clips(a, b, samples=samples, seed=seed)
+        assert rep.observed == ClassSet(first)
+        for c, f in first.items():
+            assert np.array_equal(rep.witnesses[c].view(np.int64), frames[f].view(np.int64)), c
+        assert _shared_factor.cache_info().currsize == -(-(samples + 1) // _PIECE)
+        if samples == 0:
+            for c, f in first.items():
+                assert np.array_equal(find_witness(a, b, c).view(np.int64),
+                                      frames[f].view(np.int64)), c
 
     def test_open_subset_takes_its_own_tight_retry(self):
         from isoclips.oracle.verify import _classify_mask, _subset_class
@@ -664,16 +723,15 @@ class TestKernels:
         from isoclips.oracle.verify import _conjugates
 
         A, B = realize(a), realize(b)
-        frames = np.concatenate(
-            [alignment_frames(a, b), random_rotations(100, np.random.default_rng(8))]
-        )
+        curated = alignment_frames(a, b)
+        frames = np.concatenate([curated, random_rotations(100, np.random.default_rng(8))])
         # The reference is over all of B; the plan's elements of B go in
         # frame-major and in element-major layout.
         BC = np.ascontiguousarray(np.einsum("fab,nbc,fdc->fnad", frames, B.elements, frames))
         expected = np.array([membership(A.elements, bc, tol) for bc in BC])
         needed, blocks = _plan(A.elements, B.elements, tol)
         assert np.array_equal(batch_membership(A.elements, BC[:, needed], tol, blocks), expected)
-        BC = _conjugates(frames, B.elements[needed])
+        BC = _conjugates(B.elements[needed], curated, 100, 8, 0, len(frames))
         assert np.array_equal(batch_membership(A.elements, BC, tol, blocks), expected)
         assert expected[0].any() and not expected.all()
 
@@ -706,11 +764,12 @@ class TestKernels:
             assert np.array_equal(block_a, A.elements[rows].reshape(-1, 9).T)
         assert near.any() and not (near & ~covered).any()
 
-        frames = np.concatenate(
-            [alignment_frames(a, b), random_rotations(200, np.random.default_rng(6))]
-        )
+        curated = alignment_frames(a, b)
+        frames = np.concatenate([curated, random_rotations(200, np.random.default_rng(6))])
         step = ROW_BUDGET // len(needed)
-        chunks = [batch_membership(A.elements, _conjugates(frames[s:s + step], B.elements[needed]),
+        chunks = [batch_membership(A.elements,
+                                   _conjugates(B.elements[needed], curated, 200, 6, s,
+                                               min(s + step, len(frames))),
                                    MATCH_TOL, blocks)
                   for s in range(0, len(frames), step)]
         if a == b:
