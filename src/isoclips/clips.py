@@ -34,6 +34,7 @@ from .groups import (
     OCTA_MINUS,
     O2_MINUS,
     UnsupportedClipsError,
+    _KINDS,
     characteristic_l,
     check_admissible,
     cyclic,
@@ -70,9 +71,9 @@ def _outcome(items, rule_id: str) -> ClipsRuleOutcome:
 
 
 def _param(cls: SubgroupClass):
-    # Z2n^- and D2n^h store the even parameter 2n; their cells read n
-    # (Z2^-: n = 1).  Parameter-free kinds give None.
-    return cls.n // 2 if cls.kind in (ZMINUS_K, DH_K) else cls.n
+    # Half kinds (Z2n^-, D2n^h) store the even parameter 2n; their cells
+    # read n (Z2^-: n = 1).  Parameter-free kinds give None.
+    return cls.n // 2 if _KINDS[cls.kind].half else cls.n
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +273,9 @@ def clips_pair_detailed(ctx: Context, a: SubgroupClass,
     a, b = sorted((a, b), key=SubgroupClass.sort_key)
     if a.is_type_i and b.is_type_iii:  # reduce to the rotation part of b
         inner = clips_pair_detailed(Context.SO3, a, characteristic_l(b))
-        return ClipsRuleOutcome(inner.result, f"Lemma5.1:{_L51_TAG[b.kind]}")
+        return ClipsRuleOutcome(inner.result, f"Lemma5.1:{_KINDS[b.kind].l51}")
     rule_id, cell = _CELLS[a.kind, b.kind]
     return _outcome(cell(_param(a), _param(b)), rule_id)
-
-
-_L51_TAG = {
-    ZMINUS_K: "Z2n-",
-    DV_K: "Dv",
-    DH_K: "D2nh",
-    OCTA_MINUS_K: "O-",
-    O2_MINUS_K: "O2-",
-}
 
 
 def clips_pair(ctx: Context, a: SubgroupClass, b: SubgroupClass) -> ClassSet:

@@ -22,13 +22,28 @@ keyword call would get its own cache key.  A closed subgroup class is one of:
 Degenerate parameters collapse on construction: ``Z1 = D1 = 1`` and
 ``Z1^- = D1^v = D2^h = 1``.  ``Z2n^-`` and ``D2n^h`` store the even
 parameter ``2n``.
+
+Every per-kind fact is one row of ``_KINDS``, keyed by the kind tag, in
+rank order (the canonical printing order behind ``sort_key``).  A row holds
+the kind's type (``"I"``, ``"II"`` or ``"III"``); its rendering, a template
+in which ``{n}`` is the stored parameter and ``{inner}`` a type II class's
+rotation class; what ``normalize`` calls (the interning constructor, or the
+constant of a parameter-free kind); the group order as a function of the
+stored parameter (``None`` for an infinite kind; a type II class has twice
+its inner class's order); the half flag (``Z2n^-`` and ``D2n^h`` store
+``2n`` and their clips cells read ``n``); and, for a type III kind, its
+characteristic couple ``n -> (L, H)`` and the tag of its Lemma 5.1 rule id.
+Adding a kind takes a row here, its ``_CELLS`` rows in ``isoclips.clips``
+and, for a finite rotation kind, an element builder in
+``isoclips.oracle.realize``.
 """
 
 from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 
 class Context(Enum):
@@ -53,7 +68,7 @@ class UnsupportedClipsError(ValueError):
     """No clips rule exists for the requested operands."""
 
 
-# Tags in canonical (printing) rank order.
+# Kind tags, the keys of ``_KINDS``.
 TRIV_K = "triv"
 CYCLIC_K = "cyclic"
 DIHEDRAL_K = "dihedral"
@@ -69,30 +84,6 @@ DH_K = "dh"
 OCTA_MINUS_K = "octa_minus"
 O2_MINUS_K = "o2_minus"
 TYPE_II_K = "type_ii"
-
-_RANK = {
-    TRIV_K: 0,
-    CYCLIC_K: 1,
-    DIHEDRAL_K: 2,
-    TETRA_K: 3,
-    OCTA_K: 4,
-    ICO_K: 5,
-    SO2_K: 6,
-    O2_K: 7,
-    SO3_K: 8,
-    ZMINUS_K: 9,
-    DV_K: 10,
-    DH_K: 11,
-    OCTA_MINUS_K: 12,
-    O2_MINUS_K: 13,
-    TYPE_II_K: 14,
-}
-
-_TYPE_I = frozenset(
-    {TRIV_K, CYCLIC_K, DIHEDRAL_K, TETRA_K, OCTA_K, ICO_K, SO2_K, O2_K, SO3_K}
-)
-_TYPE_III = frozenset({ZMINUS_K, DV_K, DH_K, OCTA_MINUS_K, O2_MINUS_K})
-_INFINITE = frozenset({SO2_K, O2_K, SO3_K, O2_MINUS_K})
 
 
 class SubgroupClass(NamedTuple):
@@ -135,45 +126,29 @@ class SubgroupClass(NamedTuple):
 
     @property
     def is_type_i(self) -> bool:
-        return self.kind in _TYPE_I
+        return _KINDS[self.kind].type == "I"
 
     @property
     def is_type_ii(self) -> bool:
-        return self.kind == TYPE_II_K
+        return _KINDS[self.kind].type == "II"
 
     @property
     def is_type_iii(self) -> bool:
-        return self.kind in _TYPE_III
+        return _KINDS[self.kind].type == "III"
 
     @property
     def is_finite(self) -> bool:
-        if self.kind in _INFINITE:
-            return False
-        if self.kind == TYPE_II_K:
+        if self.inner is not None:
             return self.inner.is_finite
-        return True
+        return _KINDS[self.kind].order is not None
 
     def order(self) -> int:
         """Group order of a finite class."""
         if not self.is_finite:
             raise ValueError(f"{self} is infinite")
-        if self.kind == TRIV_K:
-            return 1
-        if self.kind == CYCLIC_K:
-            return self.n
-        if self.kind in (DIHEDRAL_K, DV_K):
-            return 2 * self.n
-        if self.kind == ZMINUS_K:
-            return self.n
-        if self.kind == DH_K:
-            return 2 * self.n
-        if self.kind == TETRA_K:
-            return 12
-        if self.kind in (OCTA_K, OCTA_MINUS_K):
-            return 24
-        if self.kind == ICO_K:
-            return 60
-        return 2 * self.inner.order()
+        if self.inner is not None:
+            return 2 * self.inner.order()
+        return _KINDS[self.kind].order(self.n)
 
 
 def _other_key(other) -> tuple:
@@ -246,25 +221,52 @@ def type_ii(inner: SubgroupClass, /) -> SubgroupClass:
     return SubgroupClass(TYPE_II_K, inner=inner)
 
 
-O3_FULL = type_ii(SO3)
-
-
 def _check_positive(n, what: str) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"{what} parameter must be a positive integer, got {n!r}")
 
 
-_PLAIN = {
-    "triv": TRIV,
-    "tetra": TETRA,
-    "octa": OCTA,
-    "ico": ICO,
-    "so2": SO2,
-    "o2": O2,
-    "so3": SO3,
-    "octa_minus": OCTA_MINUS,
-    "o2_minus": O2_MINUS,
+_Couple = Tuple[SubgroupClass, SubgroupClass]
+
+
+class _Kind(NamedTuple):
+    """A row of ``_KINDS``; the module docstring describes the columns."""
+
+    type: str
+    render: str
+    build: Union[SubgroupClass, Callable[..., SubgroupClass]]
+    order: Optional[Callable[[Optional[int]], int]]
+    half: bool = False
+    couple: Optional[Callable[[Optional[int]], _Couple]] = None
+    l51: Optional[str] = None
+
+
+_KINDS = {
+    TRIV_K: _Kind("I", "1", TRIV, lambda n: 1),
+    CYCLIC_K: _Kind("I", "Z{n}", cyclic, lambda n: n),
+    DIHEDRAL_K: _Kind("I", "D{n}", dihedral, lambda n: 2 * n),
+    TETRA_K: _Kind("I", "T", TETRA, lambda n: 12),
+    OCTA_K: _Kind("I", "O", OCTA, lambda n: 24),
+    ICO_K: _Kind("I", "I", ICO, lambda n: 60),
+    SO2_K: _Kind("I", "SO(2)", SO2, None),
+    O2_K: _Kind("I", "O(2)", O2, None),
+    SO3_K: _Kind("I", "SO(3)", SO3, None),
+    ZMINUS_K: _Kind("III", "Z{n}^-", z_minus, lambda n: n, True,
+                    lambda n: (cyclic(n // 2), cyclic(n)), "Z2n-"),
+    DV_K: _Kind("III", "D{n}^v", d_v, lambda n: 2 * n, False,
+                lambda n: (cyclic(n), dihedral(n)), "Dv"),
+    DH_K: _Kind("III", "D{n}^h", d_h, lambda n: 2 * n, True,
+                lambda n: (dihedral(n // 2), dihedral(n)), "D2nh"),
+    OCTA_MINUS_K: _Kind("III", "O^-", OCTA_MINUS, lambda n: 24, False,
+                        lambda n: (TETRA, OCTA), "O-"),
+    O2_MINUS_K: _Kind("III", "O(2)^-", O2_MINUS, None, False,
+                      lambda n: (SO2, O2), "O2-"),
+    TYPE_II_K: _Kind("II", "[{inner} x Zc2]", type_ii, None),
 }
+
+_RANK = {k: i for i, k in enumerate(_KINDS)}
+
+O3_FULL = type_ii(SO3)
 
 
 def normalize(kind: str, n: Optional[int] = None,
@@ -275,57 +277,19 @@ def normalize(kind: str, n: Optional[int] = None,
     odd ``zminus``/``dh`` parameters (other than the degenerate 1) and
     non-positive parameters are errors.
     """
-    if kind in _PLAIN:
-        return _PLAIN[kind]
-    if kind == CYCLIC_K:
-        return cyclic(n)
-    if kind == DIHEDRAL_K:
-        return dihedral(n)
-    if kind == ZMINUS_K:
-        return z_minus(n)
-    if kind == DV_K:
-        return d_v(n)
-    if kind == DH_K:
-        return d_h(n)
-    if kind == TYPE_II_K:
-        return type_ii(inner)
-    raise ValueError(f"unknown class tag {kind!r}")
+    row = _KINDS.get(kind)
+    if row is None:
+        raise ValueError(f"unknown class tag {kind!r}")
+    if isinstance(row.build, SubgroupClass):
+        return row.build
+    return row.build(inner if row.type == "II" else n)
 
 
 def render_class(cls: SubgroupClass) -> str:
     """Render a class in the canonical grammar (round-trips via parsing)."""
-    k = cls.kind
-    if k == TRIV_K:
-        return "1"
-    if k == CYCLIC_K:
-        return f"Z{cls.n}"
-    if k == DIHEDRAL_K:
-        return f"D{cls.n}"
-    if k == TETRA_K:
-        return "T"
-    if k == OCTA_K:
-        return "O"
-    if k == ICO_K:
-        return "I"
-    if k == SO2_K:
-        return "SO(2)"
-    if k == O2_K:
-        return "O(2)"
-    if k == SO3_K:
-        return "SO(3)"
-    if k == ZMINUS_K:
-        return f"Z{cls.n}^-"
-    if k == DV_K:
-        return f"D{cls.n}^v"
-    if k == DH_K:
-        return f"D{cls.n}^h"
-    if k == OCTA_MINUS_K:
-        return "O^-"
-    if k == O2_MINUS_K:
-        return "O(2)^-"
     if cls == O3_FULL:
         return "O(3)"
-    return f"[{render_class(cls.inner)} x Zc2]"
+    return _KINDS[cls.kind].render.format(n=cls.n, inner=cls.inner)
 
 
 def full_class(ctx: Context) -> SubgroupClass:
@@ -342,36 +306,38 @@ def check_admissible(ctx: Context, *classes: SubgroupClass) -> None:
             raise ContextError(f"{cls} is not a subgroup class in context {ctx.value}")
 
 
+def _couple(cls: SubgroupClass) -> _Couple:
+    couple = _KINDS[cls.kind].couple
+    if couple is None:
+        raise ValueError(f"{cls} is not a type III class")
+    return couple(cls.n)
+
+
 def characteristic_l(cls: SubgroupClass) -> SubgroupClass:
     """Rotation part ``L = X n SO(3)`` of a type III class ``X``."""
-    k = cls.kind
-    if k == ZMINUS_K:
-        return cyclic(cls.n // 2)
-    if k == DV_K:
-        return cyclic(cls.n)
-    if k == DH_K:
-        return dihedral(cls.n // 2)
-    if k == OCTA_MINUS_K:
-        return TETRA
-    if k == O2_MINUS_K:
-        return SO2
-    raise ValueError(f"{cls} is not a type III class")
+    return _couple(cls)[0]
 
 
 def characteristic_h(cls: SubgroupClass) -> SubgroupClass:
     """Projection ``H = pi(X)`` under ``x -> det(x) x`` of a type III class."""
-    k = cls.kind
-    if k == ZMINUS_K:
-        return cyclic(cls.n)
-    if k == DV_K:
-        return dihedral(cls.n)
-    if k == DH_K:
-        return dihedral(cls.n)
-    if k == OCTA_MINUS_K:
-        return OCTA
-    if k == O2_MINUS_K:
-        return O2
-    raise ValueError(f"{cls} is not a type III class")
+    return _couple(cls)[1]
+
+
+def type_iii_class(l: SubgroupClass, h: SubgroupClass) -> Optional[SubgroupClass]:
+    """The type III class with characteristic couple ``(l, h)``, or None.
+
+    A type III class stores the parameter of its ``H``, so each type III
+    kind has one candidate, ``normalize(kind, h.n)``."""
+    for kind, row in _KINDS.items():
+        if row.couple is None:
+            continue
+        try:
+            cls = normalize(kind, h.n)
+        except ValueError:  # no parameter, or an odd half parameter
+            continue
+        if cls.kind == kind and row.couple(cls.n) == (l, h):
+            return cls
+    return None
 
 
 class ClassSet:

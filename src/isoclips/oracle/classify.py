@@ -12,14 +12,11 @@ from ..groups import (
     TRIV,
     TETRA,
     OCTA,
-    OCTA_MINUS,
     ICO,
     cyclic,
-    d_h,
-    d_v,
     dihedral,
     type_ii,
-    z_minus,
+    type_iii_class,
 )
 from .realize import MATCH_TOL, MatrixGroup
 
@@ -114,14 +111,7 @@ def classify(g: MatrixGroup) -> SubgroupClass:
         raise ValueError("broken group: proper part is not index 2")
     L = _classify_rotations(proper)
     H = _classify_rotations(np.ascontiguousarray(g.pi_image()))
-    lk, hk = L.kind, H.kind
-    ln = 1 if L == TRIV else L.n
-    if (lk in ("triv", "cyclic") and hk == "cyclic" and H.n == 2 * ln):
-        return z_minus(H.n)
-    if lk == "cyclic" and hk == "dihedral" and H.n == L.n:
-        return d_v(L.n)
-    if lk == "dihedral" and hk == "dihedral" and H.n == 2 * L.n:
-        return d_h(H.n)
-    if L == TETRA and H == OCTA:
-        return OCTA_MINUS
-    raise ValueError(f"unrecognized characteristic couple ({L}, {H})")
+    out = type_iii_class(L, H)
+    if out is None:
+        raise ValueError(f"unrecognized characteristic couple ({L}, {H})")
+    return out

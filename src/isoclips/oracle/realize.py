@@ -25,7 +25,6 @@ from ..groups import (
     OCTA_K,
     ICO_K,
     TRIV_K,
-    TYPE_II_K,
     characteristic_h,
     characteristic_l,
 )
@@ -169,28 +168,26 @@ class MatrixGroup:
             )
 
 
+# Element builders of the finite rotation kinds, from the class parameter.
+_ROTATION_BUILDERS = {
+    TRIV_K: lambda n: np.eye(3)[None, :, :],
+    CYCLIC_K: _cyclic_elements,
+    DIHEDRAL_K: _dihedral_elements,
+    TETRA_K: lambda n: _tetra_elements(),
+    OCTA_K: lambda n: _octa_elements(),
+    ICO_K: lambda n: _ico_elements_cached().copy(),
+}
+
+
 def _canonical_elements(cls: SubgroupClass) -> np.ndarray:
-    k = cls.kind
-    if k == TRIV_K:
-        return np.eye(3)[None, :, :]
-    if k == CYCLIC_K:
-        return _cyclic_elements(cls.n)
-    if k == DIHEDRAL_K:
-        return _dihedral_elements(cls.n)
-    if k == TETRA_K:
-        return _tetra_elements()
-    if k == OCTA_K:
-        return _octa_elements()
-    if k == ICO_K:
-        return _ico_elements_cached().copy()
     if cls.is_type_iii:
         L = _canonical_elements(characteristic_l(cls))
         H = _canonical_elements(characteristic_h(cls))
         return np.concatenate([L, _minus_coset(L, H)])
-    if k == TYPE_II_K:
+    if cls.is_type_ii:
         K = _canonical_elements(cls.inner)
         return np.concatenate([K, -K])
-    raise ValueError(f"cannot realize the infinite class {cls}")
+    return _ROTATION_BUILDERS[cls.kind](cls.n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -133,18 +133,23 @@ _GENERIC_FRAME.flags.writeable = False
 
 
 def random_rotations(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation matrices via normalized quaternions."""
+    """Uniform random rotation matrices via normalized quaternions.
+
+    Each entry is written straight into the one ``(count, 3, 3)`` output."""
     q = rng.normal(size=(count, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     w, x, y, z = q.T
-    return np.stack(
-        [
-            np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)], axis=-1),
-            np.stack([2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)], axis=-1),
-            np.stack([2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)], axis=-1),
-        ],
-        axis=1,
-    )
+    R = np.empty((count, 3, 3))
+    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    R[:, 0, 1] = 2 * (x * y - z * w)
+    R[:, 0, 2] = 2 * (x * z + y * w)
+    R[:, 1, 0] = 2 * (x * y + z * w)
+    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    R[:, 1, 2] = 2 * (y * z - x * w)
+    R[:, 2, 0] = 2 * (x * z - y * w)
+    R[:, 2, 1] = 2 * (y * z + x * w)
+    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return R
 
 
 def _cross(a, b) -> np.ndarray:

@@ -19,26 +19,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from .groups import (
-    ICO,
-    O2,
-    O2_MINUS,
-    O3_FULL,
-    OCTA,
-    OCTA_MINUS,
-    SO2,
-    SO3,
-    TETRA,
-    TRIV,
-    SubgroupClass,
-    cyclic,
-    d_h,
-    d_v,
-    dihedral,
-    render_class,
-    type_ii,
-    z_minus,
-)
+from .groups import _KINDS, O3_FULL, SubgroupClass, normalize, type_ii
 from .irreps import HarmonicLabel, HarmonicSum, alt_square, sym_square, tensor_product
 
 
@@ -50,46 +31,48 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+# Both lookups come from the renderings in ``_KINDS``: a parameter-free name
+# maps to its class, a parametrised one's text around ``{n}`` to its kind.
 _FIXED_CLASSES = {
-    render_class(c): c
-    for c in (TRIV, TETRA, OCTA, ICO, SO2, O2, SO3, OCTA_MINUS, O2_MINUS, O3_FULL)
+    str(c): c
+    for c in [normalize(k) for k, row in _KINDS.items() if "{" not in row.render]
+    + [O3_FULL]
+}
+_FAMILIES = {
+    tuple(row.render.split("{n}")): k
+    for k, row in _KINDS.items() if "{n}" in row.render
 }
 
-_PARAM_CLASS = re.compile(r"^(Z|D)(\d+)(\^-|\^v|\^h)?$")
+_PARAM_CLASS = re.compile(r"^(\D+)(\d+)(\D*)$")
 _TYPE_II_WRAP = re.compile(r"^\[(.+) x Zc2\]$")
 
 
 def parse_class(text: str) -> SubgroupClass:
     """Parse a class name in the rendering grammar; strict about parameters."""
     s = text.strip()
-    if s in _FIXED_CLASSES:
-        return _FIXED_CLASSES[s]
     m = _TYPE_II_WRAP.match(s)
-    if m:
-        return type_ii(parse_class(m.group(1)))
-    m = _PARAM_CLASS.match(s)
-    if not m:
-        raise ParseError(f"not a class name: {text!r}", 0)
-    family, param, deco = m.group(1), int(m.group(2)), m.group(3)
     try:
-        if family == "Z" and deco is None:
-            out = cyclic(param)
-        elif family == "Z" and deco == "^-":
-            out = z_minus(param)
-        elif family == "D" and deco is None:
-            out = dihedral(param)
-        elif family == "D" and deco == "^v":
-            out = d_v(param)
-        elif family == "D" and deco == "^h":
-            out = d_h(param)
-        else:
-            raise ParseError(f"not a class name: {text!r}", 0)
+        out = type_ii(_unwrapped(m.group(1))) if m else _unwrapped(s)
+    except ParseError:
+        raise
     except ValueError as exc:
         raise ParseError(str(exc), 0) from exc
     if str(out) != s:
-        # Degenerate parameters (Z1, D2^h, ...) are not part of the grammar.
+        # Degenerate parameters (Z1, D2^h, ...) and [SO(3) x Zc2] are not
+        # part of the grammar.
         raise ParseError(f"non-canonical class name: {text!r}", 0)
     return out
+
+
+def _unwrapped(s: str) -> SubgroupClass:
+    # A name that is not a type II wrap; a wrap inside a wrap lands here too.
+    if s in _FIXED_CLASSES:
+        return _FIXED_CLASSES[s]
+    m = _PARAM_CLASS.match(s)
+    kind = m and _FAMILIES.get((m.group(1), m.group(3)))
+    if not kind:
+        raise ParseError(f"not a class name: {s!r}", 0)
+    return normalize(kind, int(m.group(2)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,12 @@ class TestClips:
     def test_parse_error_exit_2(self, capsys):
         assert run(["clips", "Z4^", "D2"]) == 2
 
+    def test_type_ii_name_outside_the_grammar_exit_2(self, capsys):
+        # [Z2^- x Zc2] wraps a type III class: a parse error, not a bad input.
+        assert run(["clips", "[Z2^- x Zc2]", "Z2", "--ctx", "o3"]) == 2
+        _, err = out_of(capsys)
+        assert "parse error" in err
+
     def test_type_ii_exit_3(self, capsys):
         assert run(["clips", "[D2 x Zc2]", "D2", "--ctx", "o3"]) == 3
 

@@ -1,6 +1,8 @@
 """Grammar fuzz test: random expression trees, and one-character mutations of
 their text, through the CLI.  Every input must end in a documented exit code,
-and an accepted expression must have the dimension of the tree it came from."""
+and an accepted expression must have the dimension of the tree it came from.
+Class names of every kind, edited a few times, must parse to a class that
+renders as the input or raise ``ParseError``."""
 
 import contextlib
 import io
@@ -8,7 +10,9 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
+from isoclips import ParseError, normalize, parse_class, type_ii
 from isoclips.cli import run
+from isoclips.groups import _KINDS, TRIV
 
 # Tree nodes: ("H", n, star), ("k*", k, x), ("+", x, y), ("(x)", x, y),
 # ("()", x), ("S2", x) and ("L2", x).
@@ -122,3 +126,46 @@ def test_decompose_mutant_exit_code(text):
 def test_isotropy_exit_code(tree):
     code, _ = _cli(["isotropy", _render(tree)])
     assert code in (0, 3)
+
+
+def _class(kind, n):
+    try:
+        return normalize(kind, n)
+    except ValueError:  # an odd half parameter
+        return TRIV
+
+
+_UNWRAPPED = st.builds(_class, st.sampled_from([k for k, row in _KINDS.items()
+                                                if row.type != "II"]),
+                       st.integers(1, 24))
+CLASSES = _UNWRAPPED | _UNWRAPPED.filter(lambda c: c.is_type_i).map(type_ii)
+
+
+@st.composite
+def _edited(draw, text: str) -> str:
+    """Up to three edits: drop, duplicate or swap characters, or wrap in or
+    strip ``[... x Zc2]``."""
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "wrap", "strip"]))
+        i = draw(st.integers(0, max(len(text) - 2, 0)))
+        if op == "wrap":
+            text = f"[{text} x Zc2]"
+        elif op == "strip":
+            text = text.removeprefix("[").removesuffix(" x Zc2]")
+        elif op == "drop":
+            text = text[:i] + text[i + 1:]
+        elif op == "duplicate":
+            text = text[:i + 1] + text[i:]
+        else:
+            text = text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(CLASSES.map(str).flatmap(_edited))
+def test_parse_class_mutant(text):
+    try:
+        cls = parse_class(text)
+    except ParseError:
+        return
+    assert str(cls) == text.strip(), text

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import operator
+import pickle
 
 import pytest
 
@@ -33,7 +35,27 @@ from isoclips import (
     type_ii,
     z_minus,
 )
-from isoclips.groups import SubgroupClass
+from isoclips.groups import (_KINDS, SubgroupClass, characteristic_h, characteristic_l,
+                             type_iii_class)
+
+PARAMS = range(1, 25)
+
+
+def _table_classes():
+    """Every class that ``_KINDS`` builds from the parameters 1-24, the
+    degenerate ones included, and the type II lift of each type I one; a new
+    row is covered here without a new list."""
+    out = {}
+    for kind, row in _KINDS.items():
+        if row.type == "II":
+            continue
+        for n in PARAMS:
+            try:
+                out[normalize(kind, n)] = None
+            except ValueError:  # an odd half parameter
+                pass
+    out.update((type_ii(c), None) for c in list(out) if c.is_type_i)
+    return list(out)
 
 
 class TestNormalize:
@@ -75,6 +97,20 @@ class TestNormalize:
             c = normalize("zminus", p)
             assert normalize(c.kind, c.n) == c
 
+    def test_every_kind_and_parameter(self):
+        for kind, row in _KINDS.items():
+            if row.type == "II":
+                continue
+            for n in PARAMS:
+                if row.half and n % 2 and n > 1:
+                    with pytest.raises(ValueError):
+                        normalize(kind, n)
+                    continue
+                c = normalize(kind, n)
+                assert c.kind == kind or c is TRIV, (kind, n)
+                assert normalize(c.kind, c.n, c.inner) is c, (kind, n)
+                assert c.n in (None, n), (kind, n)
+
 
 class TestRendering:
     CASES = [
@@ -100,6 +136,14 @@ class TestRendering:
     def test_round_trip(self, cls, text):
         assert render_class(cls) == text
         assert parse_class(text) == cls
+
+    def test_every_kind_round_trips(self):
+        classes = _table_classes()
+        assert {c.kind for c in classes} == set(_KINDS)
+        texts = [render_class(c) for c in classes]
+        assert len(set(texts)) == len(classes)
+        for c, text in zip(classes, texts):
+            assert parse_class(text) is c, text
 
     def test_total_order_is_deterministic(self):
         shuffled = [O2, TRIV, z_minus(4), cyclic(3), d_h(6), dihedral(2), SO3]
@@ -304,6 +348,12 @@ class TestClassInterning:
             assert normalize(c.kind, c.n, c.inner) is c
             assert parse_class(render_class(c)) is c
 
+    def test_every_kind_is_interned(self):
+        for c in _table_classes():
+            assert normalize(c.kind, c.n, c.inner) is c
+            assert pickle.loads(pickle.dumps(c)) is c
+            assert copy.deepcopy(c) is c
+
     def test_named_classes_are_the_constants(self):
         assert type_ii(SO3) is O3_FULL
         assert parse_class("O(3)") is O3_FULL
@@ -359,3 +409,29 @@ class TestClassInterning:
         for n in range(1, 31):
             for c in isotropy_irrep_o3(HarmonicLabel(n, star=n % 2 == 0)):
                 assert _interned(c), (n, c)
+
+
+class TestKindTable:
+    """Facts each ``_KINDS`` row states, checked against the oracle and the
+    partial order for every class the table builds."""
+
+    def test_order_is_the_realized_order(self):
+        from isoclips.oracle import realize
+
+        for c in _table_classes():
+            param = (c.inner or c).n or 0
+            if c.is_finite and param <= 12:
+                assert c.order() == realize(c).order, c
+            elif not c.is_finite:
+                with pytest.raises(ValueError):
+                    c.order()
+
+    def test_type_iii_couple_has_index_two(self):
+        for c in _table_classes():
+            if not c.is_type_iii:
+                continue
+            low, high = characteristic_l(c), characteristic_h(c)
+            assert low != high and is_leq(low, high, Context.SO3), c
+            if c.is_finite:
+                assert high.order() == 2 * low.order() == c.order(), c
+            assert type_iii_class(low, high) is c

@@ -461,6 +461,22 @@ class TestVerifyClips:
         info = _shared_factor.cache_info()
         assert info.misses > info.maxsize and info.currsize <= info.maxsize
 
+    def test_random_rotation_draw_peak(self):
+        import tracemalloc
+
+        # The draw keeps 72 bytes a sample and needs the (n, 4) quaternions
+        # (32 more) and a few (n,) products beside it: about 120 bytes a
+        # sample.  Stacking rows before the final (n, 3, 3) array took 176.
+        samples = 50_000
+        random_rotations(10, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            random_rotations(samples, np.random.default_rng(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / samples < 140
+
 
 class TestSweepCaches:
     """The per-process caches of ``verify`` give what a fresh computation

@@ -24,6 +24,32 @@ class TestClassNames:
     def test_nested_type_ii(self):
         assert render_class(parse_class("[Z6 x Zc2]")) == "[Z6 x Zc2]"
 
+    @pytest.mark.parametrize("bad", [
+        "[Z2^- x Zc2]",        # wraps a type III class
+        "[D6^h x Zc2]",
+        "[O(3) x Zc2]",        # wraps a type II class
+        "[[1 x Zc2] x Zc2]",
+        "[SO(3) x Zc2]",       # renders as O(3)
+        "[Z1 x Zc2]",          # degenerate inner parameter
+        "[Z2 x Zc2] ",
+    ])
+    def test_type_ii_outside_the_grammar(self, bad):
+        if bad != bad.strip():
+            # Surrounding whitespace is tolerated here too.
+            assert str(parse_class(bad)) == bad.strip()
+            return
+        with pytest.raises(ParseError):
+            parse_class(bad)
+
+    def test_deep_type_ii_wrap(self):
+        # A wrap is unwrapped once, so nesting never recurses.
+        with pytest.raises(ParseError):
+            parse_class("[" * 3000 + "1" + " x Zc2]" * 3000)
+
+    def test_type_ii_canonical_names(self):
+        for text in ("[1 x Zc2]", "[D2 x Zc2]", "[SO(2) x Zc2]", "[I x Zc2]", "O(3)"):
+            assert str(parse_class(text)) == text
+
     def test_unknown(self):
         with pytest.raises(ParseError):
             parse_class("Q8")
