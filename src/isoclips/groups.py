@@ -216,7 +216,7 @@ def d_h(p: int, /) -> SubgroupClass:
 @functools.lru_cache(maxsize=None, typed=True)
 def type_ii(inner: SubgroupClass, /) -> SubgroupClass:
     """Class of ``K u (-K)`` for a type I class ``K``."""
-    if not inner.is_type_i:
+    if not isinstance(inner, SubgroupClass) or not inner.is_type_i:
         raise ValueError(f"type II classes wrap type I classes only, got {inner}")
     return SubgroupClass(TYPE_II_K, inner=inner)
 

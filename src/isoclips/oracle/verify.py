@@ -77,18 +77,21 @@ alone, so a hit returns what the computation would.  Classes are interned
 (``groups``) and ``realize`` returns one read-only canonical group per class,
 so a class stands for its group's elements in a key.
 
-* ``_axes_of``: the characteristic axes of a class's group, keyed on the
-  class; the azimuth frame of one axis u per orbit, as the bytes of u, the
-  cosines to u and the exact azimuths about u of the group's off-axis signed
-  axes; the bytes of each representative in both signs, and the order of
-  its stabiliser.
+* ``_axes_of``: keyed on the class, one representative v per orbit of its
+  group's characteristic axes, with its azimuth frame, as the bytes of v,
+  the cosines to v and the exact azimuths about v of the group's off-axis
+  signed axes, and the order of its stabiliser.
 * ``_steps``: for an azimuth frame of A and the class of B, the frames of
-  each alignment step: a signed B representative sent to u, then twisted
-  about u by the generic twists and by the azimuth differences of axes at
-  equal cosines, one twist per class modulo the representative's period.
-  The azimuth frame stays a byte key, as equal frames are shared across
-  classes: a sweep meets 1248 distinct keys, which cover its 10242 steps,
-  where keys on the class of A would be 2242.
+  each alignment step: a signed B representative sv sent to u by ``base``,
+  then twisted about u by the generic twists and by the azimuth differences
+  of axes at equal cosines, one twist per class modulo sv's period.  B's
+  side of a step comes from B's own azimuth frames plus one phase: ``base``
+  sends the frame (e1, e2, sv) of sv onto that of u turned by some phi
+  about u, so a B axis keeps its cosine to sv and its azimuth about sv plus
+  phi.  -v has the e1 of v, so its cosines and azimuths are those of v
+  with their signs changed.  The azimuth frame stays a byte key, as equal
+  frames are shared across classes: a sweep meets 1248 distinct keys, which
+  cover its 10242 steps, where keys on the class of A would be 2242.
 * ``_frame_block``: the frames ``rotation(u, t) @ base`` over a step's
   twists, keyed on the bytes of u, base and the twists, so steps with equal
   ones, in any classes, share one array.  A sweep's 58727 curated frames
@@ -115,7 +118,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import atan2, pi
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -230,23 +233,12 @@ def _unpack_azimuth_frame(key: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return data[:3], data[3:3 + half], data[3 + half:]
 
 
-class _Axes(NamedTuple):
-    """Characteristic axes of a class; one azimuth frame per orbit: the
-    bytes of a representative u, the cosines to u and the exact azimuths
-    about u of the class's off-axis signed axes; the bytes of each
-    representative in both signs, and the order of its stabiliser in the
-    rotation image of the class's group."""
-
-    axes: np.ndarray
-    frames: Tuple[bytes, ...]
-    signed_reps: Tuple[bytes, ...]
-    stabilisers: Tuple[int, ...]
-
-
 @functools.lru_cache(maxsize=256)
-def _axes_of(cls: SubgroupClass) -> _Axes:
-    """Characteristic axes of the class's canonical group, one axis per
-    orbit, the azimuth frame of each and the order of its stabiliser."""
+def _axes_of(cls: SubgroupClass) -> Tuple[Tuple[bytes, int], ...]:
+    """Per axis orbit of the class's canonical group, one representative u:
+    its azimuth frame, the bytes of u, the cosines to u and the exact
+    azimuths about u of the group's off-axis signed axes; and the order of
+    its stabiliser in the group's rotation image."""
     g = realize(cls)
     image = g.pi_image()
     axes = characteristic_axes(g)
@@ -261,21 +253,7 @@ def _axes_of(cls: SubgroupClass) -> _Axes:
     # -x have one image, so each rotation is counted twice.
     fixed = np.abs(np.einsum("rij,aj->ari", image, reps) - reps[:, None]).max(axis=2) < 1e-7
     stabilisers = fixed.sum(axis=1) // (2 if g.contains_minus_id() else 1)
-    # Cached results are shared by every caller.
-    axes.flags.writeable = False
-    return _Axes(axes, tuple(frames), tuple(sv.tobytes() for sv in _signed(reps)),
-                 tuple(int(n) for n in stabilisers for _ in "+-"))
-
-
-def _alignment(u: np.ndarray, sv: np.ndarray, b: SubgroupClass):
-    """``base`` sending the signed B axis ``sv`` to u; then, of B's signed
-    axes after ``base``, those with an azimuth about u: their cosines to u
-    and exact azimuths."""
-    base = rotation_between(sv, u)
-    ws = _signed(_axes_of(b).axes @ base.T)
-    e1, e2 = _perpendicular(u)
-    off = _off_axis(ws, e1, e2)
-    return base, (ws @ u)[off], _azimuths(ws[off], e1, e2)
+    return tuple(zip(frames, (int(n) for n in stabilisers)))
 
 
 def _round9(d: np.ndarray) -> np.ndarray:
@@ -316,27 +294,35 @@ def _steps(azimuth_frame: bytes, b: SubgroupClass) -> Tuple[np.ndarray, ...]:
     its axis u, into B: one block per signed B axis representative sv, in
     order, of sv sent to u and then twisted about u."""
     u, cosines, azimuths = _unpack_azimuth_frame(azimuth_frame)
-    axes_b = _axes_of(b)
+    e1, e2 = _perpendicular(u)
     blocks = []
-    for sv, n in zip(axes_b.signed_reps, axes_b.stabilisers):
-        base, b_cosines, b_azimuths = _alignment(u, np.frombuffer(sv), b)
-        # Pairs of A- and B-axes at the same angle to u: twisting by their
-        # azimuth difference makes them coincide.
-        ia, ib = np.nonzero(np.abs(cosines[:, None] - b_cosines) < 1e-6)
-        twists = set(_GENERIC_TWISTS)
-        if len(ib):
-            twists.update(_round9((azimuths[ia] - b_azimuths[ib]) % (2 * pi)).tolist())
+    for frame, n in _axes_of(b):
+        v, v_cosines, v_azimuths = _unpack_azimuth_frame(frame)
+        v_e1 = _perpendicular(v)[0]
         # Twists a multiple of 2 pi / n apart differ by a rotation of B about
-        # sv, so they conjugate B alike: keep the first twist of each class,
-        # keyed by its residue in units of 1e-7 rad, a residue that rounds
-        # to the period counting as 0.
+        # sv, so they conjugate B alike: a step keeps the first twist of each
+        # class, keyed by its residue in units of 1e-7 rad, a residue that
+        # rounds to the period counting as 0.
         period = 2 * pi / n
         units = round(period * 1e7)
-        kept = {}
-        for t in sorted(twists):
-            kept.setdefault(round(t % period * 1e7) % units, t)
-        blocks.append(_frame_block(u.tobytes() + base.tobytes()
-                                   + np.array(list(kept.values())).tobytes()))
+        for s in (1.0, -1.0):
+            # B's cosines to sv and azimuths about sv, plus phi, are those
+            # about u after base (see the module docstring).
+            base = rotation_between(s * v, u)
+            w = base @ v_e1
+            phi = atan2(float(w @ e2), float(w @ e1))
+            # Pairs of A- and B-axes at the same angle to u: twisting by
+            # their azimuth difference makes them coincide.
+            ia, ib = np.nonzero(np.abs(cosines[:, None] - s * v_cosines) < 1e-6)
+            twists = set(_GENERIC_TWISTS)
+            if len(ib):
+                twists.update(_round9(
+                    (azimuths[ia] - (s * v_azimuths[ib] + phi)) % (2 * pi)).tolist())
+            kept = {}
+            for t in sorted(twists):
+                kept.setdefault(round(t % period * 1e7) % units, t)
+            blocks.append(_frame_block(u.tobytes() + base.tobytes()
+                                       + np.array(list(kept.values())).tobytes()))
     return tuple(blocks)
 
 
@@ -345,7 +331,7 @@ def alignment_frames(a: SubgroupClass, b: SubgroupClass) -> np.ndarray:
     (F, 3, 3) array: axis-to-axis alignments with twist angles that make
     secondary axes coincide, plus generic twists that isolate single shared
     axes.  The identity comes first."""
-    steps = (_steps(frame, b) for frame in _axes_of(a).frames)
+    steps = (_steps(frame, b) for frame, _ in _axes_of(a))
     return np.concatenate([_IDENTITY, *itertools.chain.from_iterable(steps)])
 
 

@@ -86,6 +86,11 @@ class TestNormalize:
     def test_type_ii_wraps_type_i_only(self):
         with pytest.raises(ValueError):
             type_ii(z_minus(4))
+        # No inner class, or a parameter in its place.
+        for build in (lambda: normalize("type_ii"), lambda: normalize("type_ii", 3),
+                      lambda: type_ii(None), lambda: type_ii(3)):
+            with pytest.raises(ValueError):
+                build()
 
     def test_idempotent_up_to_64(self):
         for kind in ("cyclic", "dihedral", "dv"):

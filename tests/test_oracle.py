@@ -1,7 +1,6 @@
 import functools
-import itertools
 from dataclasses import FrozenInstanceError
-from math import pi
+from math import atan2, pi
 
 import numpy as np
 import pytest
@@ -26,12 +25,14 @@ from isoclips.oracle import (
     MATCH_TOL,
     MatrixGroup,
     alignment_frames,
+    characteristic_axes,
     classify,
     find_witness,
     intersect,
     random_rotations,
     realize,
     rotation,
+    rotation_between,
     verify_clips,
 )
 from isoclips.oracle.kernels import (batch_membership, closure_ok, invariant_runs, match_plan,
@@ -45,30 +46,58 @@ def _plan(A, B, tol):
 
 
 @functools.lru_cache(maxsize=None)
-def _every_twist(azimuth_frame, b):
-    """The frames of each alignment step over every twist: the generic
-    twists and all azimuth differences, sorted, none dropped as equal to
-    another modulo the stabiliser of B's axis."""
-    from isoclips.oracle.verify import (_GENERIC_TWISTS, _alignment, _axes_of, _round9,
+def _reference_steps(azimuth_frame, b):
+    """Each alignment step from an azimuth frame of A, about its axis u,
+    into B, derived without B's azimuth frames: B's axes turned by ``base``,
+    then the azimuths about u of those off u read with scalar
+    ``math.atan2``.  Per step (base, n, twists): the stabiliser order n of
+    B's axis and every twist, the generic twists and all azimuth
+    differences at equal cosines, rounded as ``round(x, 9)`` and sorted."""
+    from isoclips.oracle.verify import (_GENERIC_TWISTS, _axes_of, _perpendicular,
                                         _unpack_azimuth_frame)
 
     u, cosines, azimuths = _unpack_azimuth_frame(azimuth_frame)
+    e1, e2 = _perpendicular(u)
+    axes = characteristic_axes(realize(b))
+    steps = []
+    for frame, n in _axes_of(b):
+        v = _unpack_azimuth_frame(frame)[0]
+        for sv in (v, -v):
+            base = rotation_between(sv, u)
+            ws = np.concatenate([axes @ base.T, -(axes @ base.T)])
+            ws = ws[(ws @ e1) ** 2 + (ws @ e2) ** 2 >= 1e-14]
+            b_azimuths = np.array([atan2(float(w @ e2), float(w @ e1)) for w in ws])
+            ia, ib = np.nonzero(np.abs(cosines[:, None] - ws @ u) < 1e-6)
+            differences = ((azimuths[ia] - b_azimuths[ib]) % (2 * pi)).tolist()
+            twists = sorted(set(_GENERIC_TWISTS) | {round(x, 9) for x in differences})
+            steps.append((base, n, twists))
+    return steps
+
+
+def _reference_frames(a, b, every_twist=False):
+    """``alignment_frames(a, b)`` from ``_reference_steps``: the identity,
+    then per step ``rotation(u, t) @ base`` over its twists t, keeping the
+    first twist of each class modulo ``2 pi / n`` unless ``every_twist``."""
+    from isoclips.oracle.verify import _IDENTITY, _axes_of
+
     blocks = []
-    for sv in _axes_of(b).signed_reps:
-        base, b_cosines, b_azimuths = _alignment(u, np.frombuffer(sv), b)
-        ia, ib = np.nonzero(np.abs(cosines[:, None] - b_cosines) < 1e-6)
-        twists = sorted(set(_GENERIC_TWISTS)
-                        | set(_round9((azimuths[ia] - b_azimuths[ib]) % (2 * pi)).tolist()))
-        blocks.append(rotations(np.repeat(u[None], len(twists), axis=0), twists) @ base)
-    return blocks
+    for frame, _ in _axes_of(a):
+        u = np.frombuffer(frame)[:3]
+        for base, n, twists in _reference_steps(frame, b):
+            if not every_twist:
+                period = 2 * pi / n
+                units = round(period * 1e7)
+                kept = {}
+                for t in twists:
+                    kept.setdefault(round(t % period * 1e7) % units, t)
+                twists = list(kept.values())
+            blocks.append(rotations(np.repeat(u[None], len(twists), axis=0), twists) @ base)
+    return np.concatenate([_IDENTITY, *blocks])
 
 
 def _every_twist_frames(a, b):
     """``alignment_frames(a, b)`` with every twist of each step kept."""
-    from isoclips.oracle.verify import _IDENTITY, _axes_of
-
-    steps = [_every_twist(frame, b) for frame in _axes_of(a).frames]
-    return np.concatenate([_IDENTITY, *itertools.chain.from_iterable(steps)])
+    return _reference_frames(a, b, every_twist=True)
 
 
 FINITE_SAMPLE = [
@@ -374,19 +403,32 @@ class TestVerifyClips:
                     diffs.append((str(a), str(b)))
         assert diffs == []
 
+    def test_alignment_frames_equal_direct_derivation(self):
+        # B's side of each step read from B's azimuth frames plus one phase
+        # gives, bit for bit, the frames of B's axes turned by base and read
+        # about u, on every ordered cell.
+        classes = [TRIV, TETRA, OCTA, ICO, OCTA_MINUS]
+        classes += [f(n) for f in (cyclic, dihedral, d_v) for n in range(2, 13)]
+        classes += [z_minus(p) for p in range(2, 13, 2)] + [d_h(p) for p in range(4, 13, 2)]
+        assert len(classes) == 49
+        diffs = [
+            (str(a), str(b)) for a in classes for b in classes
+            if not np.array_equal(alignment_frames(a, b).view(np.int64),
+                                  _reference_frames(a, b).view(np.int64))
+        ]
+        assert diffs == []
+
     @pytest.mark.parametrize("cls,orders", [
         (cyclic(6), (6,)), (dihedral(6), (6, 2, 2)), (TETRA, (2, 3)), (OCTA, (4, 3, 2)),
         (OCTA_MINUS, (4, 3, 2)), (ICO, (5, 3, 2)), (z_minus(6), (6,)), (d_h(8), (8, 2, 2)),
         (TRIV, (1,)), (type_ii(OCTA), (4, 3, 2)),
     ], ids=str)
     def test_stabiliser_orders(self, cls, orders):
-        # Per axis orbit representative, in both signs: the rotations of
-        # the class's rotation image that fix it, each counted once.
+        # Per axis orbit representative: the rotations of the class's
+        # rotation image that fix it, each counted once.
         from isoclips.oracle.verify import _axes_of
 
-        axes = _axes_of(cls)
-        assert axes.stabilisers == tuple(n for n in orders for _ in "+-")
-        assert len(axes.signed_reps) == len(axes.stabilisers)
+        assert tuple(n for _, n in _axes_of(cls)) == orders
 
     def test_report_json(self):
         rep = verify_clips(dihedral(4), dihedral(6), samples=150, seed=11)
@@ -825,6 +867,19 @@ class TestKernels:
         A = realize(OCTA).elements
         with pytest.raises(ValueError):
             batch_membership(A, A[None], tol=1.0, blocks=[])
+
+    @pytest.mark.parametrize("v,u", [
+        ((1, 0, 0), (1, 0, 0)), ((0, 0, -1), (0, 0, -1)), ((0.6, 0, 0.8), (0.6, 0, 0.8)),
+        ((1, 0, 0), (-1, 0, 0)), ((-1, 0, 0), (1, 0, 0)),  # the y fallback
+        ((0, 0, 1), (0, 0, -1)), ((0, 0, -1), (0, 0, 1)),
+        *(tuple(np.random.default_rng(seed).normal(size=(2, 3))) for seed in range(8)),
+    ])
+    def test_rotation_between(self, v, u):
+        v, u = (np.asarray(x, dtype=float) / np.linalg.norm(x) for x in (v, u))
+        R = rotation_between(v, u)
+        assert np.abs(R @ R.T - np.eye(3)).max() < 1e-12
+        assert abs(np.linalg.det(R) - 1.0) < 1e-12
+        assert np.abs(R @ v - u).max() < 1e-12
 
     def test_alignment_frames_are_rotations(self):
         frames = alignment_frames(TETRA, dihedral(3))
