@@ -1,7 +1,7 @@
 """Brute-force matrix-group oracle for the clips rules."""
 
 from .classify import classify, rotation_axis_angle
-from .realize import MATCH_TOL, ORTHO_TOL, MatrixGroup, intersect, realize, rotation
+from .realize import MATCH_TOL, ORTHO_TOL, MatrixGroup, realize, rotation
 from .verify import (
     VerificationReport,
     alignment_frames,
@@ -21,7 +21,6 @@ __all__ = [
     "characteristic_axes",
     "classify",
     "find_witness",
-    "intersect",
     "random_rotations",
     "realize",
     "rotation",

@@ -24,41 +24,60 @@ _ANGLE_TOL = 1e-6
 _AXIS_TOL = 1e-6
 
 
+def _cosines(R: np.ndarray) -> np.ndarray:
+    """Cosine of the rotation angle of each of the (n, 3, 3) rotations R."""
+    return np.clip((R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2] - 1.0) / 2.0, -1.0, 1.0)
+
+
+def _moved(R: np.ndarray) -> np.ndarray:
+    """The rotations of R that are not the identity to ``MATCH_TOL``."""
+    return R[np.abs(R - np.eye(3)).max(axis=(1, 2)) > MATCH_TOL]
+
+
+def _rotation_axes(R: np.ndarray) -> np.ndarray:
+    """(n, 3) unit axes, of canonical sign, of the (n, 3, 3) non-identity
+    rotations R: from the antisymmetric part, or from the symmetric part
+    when the angle is within 1e-4 of pi.  Each norm is ``sqrt(u.u)``, as
+    ``np.linalg.norm`` takes it for one vector."""
+    u = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
+                  R[:, 1, 0] - R[:, 0, 1]], axis=1)
+    near_pi = pi - np.arccos(_cosines(R)) < 1e-4
+    if near_pi.any():
+        # R ~ 2 uu^T - I: read the axis off the symmetric part.
+        M = (R[near_pi] + np.eye(3)) / 2.0
+        rows = np.arange(len(M))
+        k = np.argmax(np.diagonal(M, axis1=1, axis2=2), axis=1)
+        u[near_pi] = M[rows, :, k] / np.sqrt(np.maximum(M[rows, k, k], 1e-12))[:, None]
+    u = u / np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
+    # The first component off zero is positive.
+    first = np.argmax(np.abs(u) > 1e-8, axis=1)
+    flip = u[np.arange(len(u)), first] < 0
+    u[flip] = -u[flip]
+    return u
+
+
 def rotation_axis_angle(R: np.ndarray) -> Tuple[np.ndarray, float]:
     """Axis (canonical sign) and angle in (0, pi] of a non-identity rotation."""
     c = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
     angle = acos(c)
     if angle < _ANGLE_TOL:
         raise ValueError("identity has no rotation axis")
-    if pi - angle < 1e-4:
-        # R ~ 2 uu^T - I: read the axis off the symmetric part.
-        M = (R + np.eye(3)) / 2.0
-        k = int(np.argmax(np.diag(M)))
-        u = M[:, k] / np.sqrt(max(M[k, k], 1e-12))
-    else:
-        u = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    u = u / np.linalg.norm(u)
-    for comp in u:
-        if abs(comp) > 1e-8:
-            if comp < 0:
-                u = -u
-            break
-    return u, angle
+    return _rotation_axes(R[None])[0], angle
 
 
 def _axis_clusters(rotations: np.ndarray) -> List[Tuple[np.ndarray, int]]:
-    """Distinct rotation axes with the count of non-identity elements on each."""
+    """Distinct rotation axes with the count of non-identity elements on
+    each.  The first element not yet on an axis opens the next one, with
+    its own axis, and every element left whose axis is within ``_AXIS_TOL``
+    of it joins it."""
+    U = _rotation_axes(_moved(rotations))
+    left = np.ones(len(U), dtype=bool)
     clusters: List[Tuple[np.ndarray, int]] = []
-    for R in rotations:
-        if np.abs(R - np.eye(3)).max() <= MATCH_TOL:
-            continue
-        u, _ = rotation_axis_angle(R)
-        for i, (v, c) in enumerate(clusters):
-            if abs(float(u @ v)) > 1.0 - _AXIS_TOL:
-                clusters[i] = (v, c + 1)
-                break
-        else:
-            clusters.append((u, 1))
+    while left.any():
+        v = U[np.argmax(left)]
+        joins = left & (np.abs(U @ v) > 1.0 - _AXIS_TOL)
+        clusters.append((v, int(joins.sum())))
+        left &= ~joins
     return clusters
 
 
@@ -72,13 +91,9 @@ def _classify_rotations(rotations: np.ndarray) -> SubgroupClass:
         if orders[0] != n:
             raise ValueError("axial group with inconsistent order")
         # Angles must be the multiples of 2*pi/n, or the set is not a group.
-        step = 2.0 * pi / n
-        for R in rotations:
-            if np.abs(R - np.eye(3)).max() <= MATCH_TOL:
-                continue
-            _, ang = rotation_axis_angle(np.ascontiguousarray(R))
-            if abs(ang / step - round(ang / step)) > 1e-4:
-                raise ValueError("axial set is not a cyclic group")
+        steps = np.arccos(_cosines(_moved(rotations))) / (2.0 * pi / n)
+        if (np.abs(steps - np.rint(steps)) > 1e-4).any():
+            raise ValueError("axial set is not a cyclic group")
         return cyclic(n)
     if n == 4 and orders == [2, 2, 2]:
         return dihedral(2)
@@ -95,9 +110,7 @@ def _classify_rotations(rotations: np.ndarray) -> SubgroupClass:
 
 
 def classify(g: MatrixGroup) -> SubgroupClass:
-    """Exact canonical class of a closed matrix group of order <= 120."""
-    if g.order > 120:
-        raise ValueError("group too large to classify")
+    """Exact canonical class of a closed finite matrix group."""
     if (g.dets > 0).all():
         return _classify_rotations(g.elements)
     if g.contains_minus_id():

@@ -28,7 +28,7 @@ from ..groups import (
     characteristic_h,
     characteristic_l,
 )
-from .kernels import MATCH_TOL, closure_ok, membership
+from .kernels import MATCH_TOL, membership
 
 ORTHO_TOL = 1e-9
 
@@ -122,7 +122,6 @@ class MatrixGroup:
     group: rebinding a field of it would change it for all later callers."""
 
     elements: np.ndarray
-    claimed: Optional[SubgroupClass] = None
     dets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -135,7 +134,7 @@ class MatrixGroup:
     def conjugate(self, frame: np.ndarray) -> "MatrixGroup":
         f = np.asarray(frame, dtype=float)
         els = np.einsum("ab,nbc,dc->nad", f, self.elements, f)
-        return MatrixGroup(np.ascontiguousarray(els), self.claimed)
+        return MatrixGroup(np.ascontiguousarray(els))
 
     def proper_part(self) -> np.ndarray:
         return self.elements[self.dets > 0]
@@ -148,24 +147,6 @@ class MatrixGroup:
         return bool(
             (np.abs(self.elements + np.eye(3)).max(axis=(1, 2)) <= tol).any()
         )
-
-    def validate(self, tol: float = MATCH_TOL) -> None:
-        """Check orthogonality, closure, identity, and the claimed order."""
-        gram = np.einsum("nji,njk->nik", self.elements, self.elements)
-        if np.abs(gram - np.eye(3)).max() > ORTHO_TOL:
-            raise ValueError("elements are not orthogonal to tolerance")
-        dets = np.linalg.det(self.elements)
-        if np.abs(np.abs(dets) - 1.0).max() > ORTHO_TOL:
-            raise ValueError("element determinants are not +-1")
-        if not (np.abs(self.elements - np.eye(3)).max(axis=(1, 2)) <= tol).any():
-            raise ValueError("identity element missing")
-        if not closure_ok(np.ascontiguousarray(self.elements), tol):
-            raise ValueError("set is not closed under products")
-        if self.claimed is not None and self.order != self.claimed.order():
-            raise ValueError(
-                f"order {self.order} does not match {self.claimed} "
-                f"({self.claimed.order()})"
-            )
 
 
 # Element builders of the finite rotation kinds, from the class parameter.
@@ -192,8 +173,7 @@ def _canonical_elements(cls: SubgroupClass) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _canonical_group(cls: SubgroupClass) -> MatrixGroup:
-    g = MatrixGroup(np.ascontiguousarray(_canonical_elements(cls)), claimed=cls)
-    g.validate()
+    g = MatrixGroup(np.ascontiguousarray(_canonical_elements(cls)))
     # Shared by every caller of ``realize``.
     g.elements.flags.writeable = False
     g.dets.flags.writeable = False
@@ -210,13 +190,3 @@ def realize(cls: SubgroupClass, frame: Optional[np.ndarray] = None) -> MatrixGro
     g = _canonical_group(cls)
     return g if frame is None else g.conjugate(frame)
 
-
-def intersect(g1: MatrixGroup, g2: MatrixGroup, tol: float = MATCH_TOL) -> MatrixGroup:
-    """Elements of ``g1`` matching an element of ``g2`` within ``tol``."""
-    mask = membership(
-        np.ascontiguousarray(g1.elements), np.ascontiguousarray(g2.elements), tol
-    )
-    out = MatrixGroup(np.ascontiguousarray(g1.elements[mask]))
-    if not closure_ok(np.ascontiguousarray(out.elements), tol):
-        raise ValueError("intersection is not closed; tolerance mismatch")
-    return out

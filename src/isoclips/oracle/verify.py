@@ -79,8 +79,10 @@ so a class stands for its group's elements in a key.
 
 * ``_axes_of``: keyed on the class, one representative v per orbit of its
   group's characteristic axes, with its azimuth frame, as the bytes of v,
-  the cosines to v and the exact azimuths about v of the group's off-axis
-  signed axes, and the order of its stabiliser.
+  of the pair (e1, e2) perpendicular to v, of the cosines to v and of the
+  exact azimuths about v of the group's off-axis signed axes, and the order
+  of its stabiliser.  A step reads e1 and e2 of both its axes from these
+  bytes; they are functions of v, so equal frames stay equal.
 * ``_steps``: for an azimuth frame of A and the class of B, the frames of
   each alignment step: a signed B representative sv sent to u by ``base``,
   then twisted about u by the generic twists and by the azimuth differences
@@ -226,19 +228,20 @@ def _azimuths(ws: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return np.array([atan2(float(w @ e2), float(w @ e1)) for w in ws])
 
 
-def _unpack_azimuth_frame(key: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, cosines, azimuths) from the bytes of an azimuth frame."""
+def _unpack_azimuth_frame(key: bytes) -> Tuple[np.ndarray, ...]:
+    """(u, e1, e2, cosines, azimuths) from the bytes of an azimuth frame."""
     data = np.frombuffer(key)
-    half = (len(data) - 3) // 2
-    return data[:3], data[3:3 + half], data[3 + half:]
+    half = (len(data) - 9) // 2
+    return data[:3], data[3:6], data[6:9], data[9:9 + half], data[9 + half:]
 
 
 @functools.lru_cache(maxsize=256)
 def _axes_of(cls: SubgroupClass) -> Tuple[Tuple[bytes, int], ...]:
     """Per axis orbit of the class's canonical group, one representative u:
-    its azimuth frame, the bytes of u, the cosines to u and the exact
-    azimuths about u of the group's off-axis signed axes; and the order of
-    its stabiliser in the group's rotation image."""
+    its azimuth frame, the bytes of u, of ``_perpendicular(u)`` (e1, e2), of
+    the cosines to u and of the exact azimuths about u of the group's
+    off-axis signed axes; and the order of its stabiliser in the group's
+    rotation image."""
     g = realize(cls)
     image = g.pi_image()
     axes = characteristic_axes(g)
@@ -248,7 +251,8 @@ def _axes_of(cls: SubgroupClass) -> Tuple[Tuple[bytes, int], ...]:
     for u in reps:
         e1, e2 = _perpendicular(u)
         ws = signed[_off_axis(signed, e1, e2)]
-        frames.append(u.tobytes() + (ws @ u).tobytes() + _azimuths(ws, e1, e2).tobytes())
+        frames.append(u.tobytes() + e1.tobytes() + e2.tobytes() + (ws @ u).tobytes()
+                      + _azimuths(ws, e1, e2).tobytes())
     # The rotations fixing each representative; in a group with -I, x and
     # -x have one image, so each rotation is counted twice.
     fixed = np.abs(np.einsum("rij,aj->ari", image, reps) - reps[:, None]).max(axis=2) < 1e-7
@@ -293,12 +297,10 @@ def _steps(azimuth_frame: bytes, b: SubgroupClass) -> Tuple[np.ndarray, ...]:
     """The frames of each alignment step from an azimuth frame of A, about
     its axis u, into B: one block per signed B axis representative sv, in
     order, of sv sent to u and then twisted about u."""
-    u, cosines, azimuths = _unpack_azimuth_frame(azimuth_frame)
-    e1, e2 = _perpendicular(u)
+    u, e1, e2, cosines, azimuths = _unpack_azimuth_frame(azimuth_frame)
     blocks = []
     for frame, n in _axes_of(b):
-        v, v_cosines, v_azimuths = _unpack_azimuth_frame(frame)
-        v_e1 = _perpendicular(v)[0]
+        v, v_e1, _, v_cosines, v_azimuths = _unpack_azimuth_frame(frame)
         # Twists a multiple of 2 pi / n apart differ by a rotation of B about
         # sv, so they conjugate B alike: a step keeps the first twist of each
         # class, keyed by its residue in units of 1e-7 rad, a residue that

@@ -192,6 +192,13 @@ class TestVerify:
         assert "observed: 1, Z2" in out
         assert "verdict: pass" in out
 
+    @pytest.mark.parametrize("a,b", [("D61", "D61"), ("Z121", "Z121")])
+    def test_large_order_pass(self, capsys, a, b):
+        # Intersections of order over 120 are classified like any other.
+        assert run(["verify", a, b, "--samples", "0"]) == 0
+        out, _ = out_of(capsys)
+        assert "verdict: pass" in out
+
     @pytest.mark.parametrize("a,b,observed", [("Z6", "Z4", "1, Z2"), ("Z200", "Z4", "1, Z4")])
     def test_sampling_free_pass(self, capsys, a, b, observed):
         # No random frames: the curated and generic frames reach the table.

@@ -1,6 +1,6 @@
 import functools
 from dataclasses import FrozenInstanceError
-from math import atan2, pi
+from math import acos, atan2, pi
 
 import numpy as np
 import pytest
@@ -28,7 +28,6 @@ from isoclips.oracle import (
     characteristic_axes,
     classify,
     find_witness,
-    intersect,
     random_rotations,
     realize,
     rotation,
@@ -38,6 +37,27 @@ from isoclips.oracle import (
 from isoclips.oracle.kernels import (batch_membership, closure_ok, invariant_runs, match_plan,
                                      membership)
 from isoclips.oracle.realize import ORTHO_TOL, PHI, _ico_elements_cached, rotations
+
+
+def validate(g, cls, tol=MATCH_TOL):
+    """Check that ``g`` is a group of orthogonal matrices of the order of
+    ``cls``: orthogonality, determinants, the identity and closure."""
+    gram = np.einsum("nji,njk->nik", g.elements, g.elements)
+    assert np.abs(gram - np.eye(3)).max() <= ORTHO_TOL, "elements are not orthogonal"
+    assert np.abs(np.abs(np.linalg.det(g.elements)) - 1.0).max() <= ORTHO_TOL, "dets are not +-1"
+    assert (np.abs(g.elements - np.eye(3)).max(axis=(1, 2)) <= tol).any(), "identity missing"
+    assert closure_ok(np.ascontiguousarray(g.elements), tol), "not closed under products"
+    assert g.order == cls.order(), (g.order, cls.order())
+
+
+def intersect(g1, g2, tol=MATCH_TOL):
+    """The elements of ``g1`` matching an element of ``g2`` within ``tol``,
+    as a group; raises ``ValueError`` if they are not closed."""
+    mask = membership(np.ascontiguousarray(g1.elements), np.ascontiguousarray(g2.elements), tol)
+    out = MatrixGroup(np.ascontiguousarray(g1.elements[mask]))
+    if not closure_ok(out.elements, tol):
+        raise ValueError("intersection is not closed; tolerance mismatch")
+    return out
 
 
 def _plan(A, B, tol):
@@ -56,7 +76,7 @@ def _reference_steps(azimuth_frame, b):
     from isoclips.oracle.verify import (_GENERIC_TWISTS, _axes_of, _perpendicular,
                                         _unpack_azimuth_frame)
 
-    u, cosines, azimuths = _unpack_azimuth_frame(azimuth_frame)
+    u, _, _, cosines, azimuths = _unpack_azimuth_frame(azimuth_frame)
     e1, e2 = _perpendicular(u)
     axes = characteristic_axes(realize(b))
     steps = []
@@ -121,13 +141,99 @@ FINITE_SAMPLE = [
     type_ii(dihedral(3)),
 ]
 
+# Orders over 120.
+LARGE_SAMPLE = [
+    cyclic(121),
+    dihedral(61),
+    d_v(61),
+    z_minus(122),
+    d_h(124),
+    type_ii(dihedral(61)),
+]
+
+
+def _finite_classes(bound):
+    """Every finite class of each ``_KINDS`` row with a parameter up to
+    ``bound``, and the type II lift of each rotation class among them."""
+    from isoclips.groups import _KINDS, normalize
+
+    out = set()
+    for kind, row in _KINDS.items():
+        if row.order is not None:
+            for n in range(1, bound + 1):
+                try:
+                    out.add(normalize(kind, n))
+                except ValueError:  # an odd parameter of Z2n^- or D2n^h
+                    pass
+    out |= {type_ii(c) for c in out if c.is_type_i}
+    return sorted(out)
+
+
+def _reference_axis(R):
+    """The axis of one non-identity rotation, read one element at a time:
+    the reference for the array form of ``classify``."""
+    angle = acos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
+    if pi - angle < 1e-4:
+        M = (R + np.eye(3)) / 2.0
+        k = int(np.argmax(np.diag(M)))
+        u = M[:, k] / np.sqrt(max(M[k, k], 1e-12))
+    else:
+        u = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    u = u / np.linalg.norm(u)
+    for comp in u:
+        if abs(comp) > 1e-8:
+            return -u if comp < 0 else u
+    return u
+
+
+def _reference_clusters(rotations):
+    """Axis clusters built one element at a time: each element joins the
+    first cluster whose axis is within 1e-6 of its own, or opens one."""
+    clusters = []
+    for R in rotations:
+        if np.abs(R - np.eye(3)).max() <= MATCH_TOL:
+            continue
+        u = _reference_axis(R)
+        for i, (v, c) in enumerate(clusters):
+            if abs(float(u @ v)) > 1.0 - 1e-6:
+                clusters[i] = (v, c + 1)
+                break
+        else:
+            clusters.append((u, 1))
+    return clusters
+
 
 class TestRealize:
     @pytest.mark.parametrize("cls", FINITE_SAMPLE, ids=str)
     def test_group_axioms_and_order(self, cls):
         g = realize(cls)
-        g.validate()
-        assert g.order == cls.order()
+        validate(g, cls)
+
+    def test_every_finite_kind_is_a_group_of_its_order(self):
+        # The canonical groups are checked here, not at run time: every
+        # finite row of _KINDS to parameter 40, each type II lift, and a few
+        # large parameters.
+        from isoclips.groups import _KINDS
+
+        classes = _finite_classes(40) + [
+            cyclic(1000), dihedral(500), z_minus(1000), d_v(500), d_h(1000),
+            type_ii(cyclic(500)),
+        ]
+        kinds = {c.kind for c in classes}
+        assert kinds == {k for k, row in _KINDS.items() if row.order is not None} | {"type_ii"}
+        for cls in classes:
+            validate(realize(cls), cls)
+
+    def test_validate_catches_a_broken_group(self):
+        g = realize(dihedral(4))
+        with pytest.raises(AssertionError, match="order"):
+            validate(g, dihedral(5))
+        with pytest.raises(AssertionError, match="closed"):
+            validate(MatrixGroup(np.ascontiguousarray(g.elements[:5])), TRIV)
+        with pytest.raises(AssertionError, match="identity"):
+            validate(MatrixGroup(np.ascontiguousarray(g.elements[1:])), TRIV)
+        with pytest.raises(AssertionError, match="orthogonal"):
+            validate(MatrixGroup(g.elements * 1.01), dihedral(4))
 
     def test_infinite_rejected(self):
         from isoclips import O2, O2_MINUS, SO2, SO3
@@ -191,7 +297,7 @@ class TestRealize:
     def test_frame_conjugation(self):
         f = rotation([3, 1, 2], 1.1)
         g = realize(OCTA, f)
-        g.validate()
+        validate(g, OCTA)
         assert classify(g) == OCTA
 
     @pytest.mark.parametrize("cls", [TRIV, OCTA, d_h(6), type_ii(dihedral(3))], ids=str)
@@ -204,7 +310,7 @@ class TestRealize:
             g.dets[0] = -1.0
         f = rotation([3, 1, 2], 1.1)
         h = realize(cls, f)
-        assert h is not g and h.claimed == cls
+        assert h is not g
         assert np.allclose(h.elements, f @ g.elements @ f.T)
         h.elements[0, 0, 0] = 2.0  # a conjugated group is the caller's own
         assert realize(cls, f).elements[0, 0, 0] != 2.0
@@ -212,16 +318,14 @@ class TestRealize:
     @pytest.mark.parametrize("cls", [TRIV, OCTA, d_h(6), type_ii(dihedral(3))], ids=str)
     def test_canonical_group_fields_cannot_be_rebound(self, cls):
         g = realize(cls)
-        for name, value in [("claimed", TETRA), ("elements", np.eye(3)[None]),
-                            ("dets", np.ones(1))]:
+        for name, value in [("elements", np.eye(3)[None]), ("dets", np.ones(1))]:
             with pytest.raises(FrozenInstanceError):
                 setattr(g, name, value)
-        assert realize(cls).claimed == cls
-        realize(cls).validate()
+        validate(realize(cls), cls)
 
 
 class TestClassify:
-    @pytest.mark.parametrize("cls", FINITE_SAMPLE, ids=str)
+    @pytest.mark.parametrize("cls", FINITE_SAMPLE + LARGE_SAMPLE, ids=str)
     def test_round_trip_random_frames(self, cls):
         rng = np.random.default_rng(5)
         for f in random_rotations(20, rng):
@@ -232,6 +336,31 @@ class TestClassify:
 
     def test_tetra_from_elements(self):
         assert classify(realize(TETRA)) == TETRA
+
+    def test_axes_and_clusters_equal_elementwise_reference(self):
+        # The clusters feed the alignment frames, so their order, counts and
+        # axes must be those of the element-by-element loop, bit for bit.
+        from isoclips.oracle.classify import _axis_clusters, _rotation_axes
+
+        images = [realize(c).pi_image() for c in _finite_classes(40)]
+        R = np.concatenate(images + [random_rotations(5000, np.random.default_rng(1))])
+        R = R[np.abs(R - np.eye(3)).max(axis=(1, 2)) > MATCH_TOL]
+        expected = np.array([_reference_axis(r) for r in R])
+        assert np.array_equal(_rotation_axes(R).view(np.int64), expected.view(np.int64))
+        for image in images:
+            got, ref = _axis_clusters(image), _reference_clusters(image)
+            assert [c for _, c in got] == [c for _, c in ref]
+            assert all(np.array_equal(u, v) for (u, _), (v, _) in zip(got, ref))
+
+    @pytest.mark.parametrize("mats", [
+        [np.eye(3), rotation([0, 0, 1], 1.0)],  # axial, but not a group
+        [rotation(a, pi) for a in np.eye(3)],  # the half turns of D2 without I
+        [np.eye(3), -np.eye(3), rotation([0, 0, 1], pi)],  # -I, proper part not half
+        [np.eye(3), rotation([0, 0, 1], pi), np.diag([1.0, 1.0, -1.0])],  # no -I, not index 2
+    ], ids=["axial_not_cyclic", "no_signature", "minus_id_not_half", "not_index_2"])
+    def test_refuses_sets_that_are_not_groups(self, mats):
+        with pytest.raises(ValueError):
+            classify(MatrixGroup(np.array(mats)))
 
 
 class TestIntersect:
@@ -381,6 +510,17 @@ class TestVerifyClips:
             if rep.verdict != "pass"
         ]
         assert failures == []
+
+    @pytest.mark.parametrize("a,b", [
+        (dihedral(61), dihedral(61)),
+        (cyclic(121), cyclic(121)),
+        (dihedral(120), dihedral(90)),
+        (d_v(61), d_v(61)),
+        (d_h(124), d_h(62)),
+    ], ids=str)
+    def test_large_orders_pass_without_samples(self, a, b):
+        # Intersections of order over 120 classify like any other.
+        assert verify_clips(a, b, samples=0).verdict == "pass"
 
     def test_twists_modulo_the_stabiliser_keep_every_witness(self):
         # A step drops a twist only after a kept one of the same class
