@@ -13,7 +13,7 @@ a request the system grants still runs.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 from typing import List, Optional
 
@@ -46,6 +46,13 @@ def _non_negative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
+
+
+def _print_json(obj) -> None:
+    # ``json`` is imported here, so only ``--json`` output pays for it.
+    import json
+
+    print(json.dumps(obj))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,9 +123,9 @@ def _emit_classes(result: ClassSet, ctx: Context, as_json: bool,
     if dot:
         _write_dot(result, hasse(result, ctx), dot)
     if as_json:
-        print(json.dumps(
+        _print_json(
             {"context": ctx.value, "classes": [render_class(c) for c in result]}
-        ))
+        )
     else:
         print(result.render())
 
@@ -164,14 +171,14 @@ def _cmd_irrep(args) -> int:
 def _cmd_decompose(args) -> int:
     total = parse_rep(args.expr)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "sum": str(total),
             "dimension": total.dim,
             "terms": [
                 {"degree": l.n, "star": l.star, "multiplicity": m}
                 for l, m in total.terms
             ],
-        }))
+        })
     else:
         print(total)
     return EXIT_OK
@@ -185,11 +192,11 @@ def _cmd_poset(args) -> int:
     if args.dot:
         _write_dot(result, edges, args.dot)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "context": ctx.value,
             "classes": [render_class(c) for c in result],
             "edges": [[render_class(lo), render_class(hi)] for lo, hi in edges],
-        }))
+        })
     else:
         for lo, hi in edges:
             print(f"{render_class(lo)} -> {render_class(hi)}")
@@ -202,7 +209,7 @@ def _cmd_verify(args) -> int:
     a, b = parse_class(args.first), parse_class(args.second)
     report = verify_clips(a, b, samples=args.samples, seed=args.seed)
     if args.json:
-        print(json.dumps(report.to_json()))
+        _print_json(report.to_json())
     else:
         print(f"pair: {render_class(a)} o {render_class(b)}")
         print(f"table:    {report.table.render()}")
@@ -243,6 +250,10 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
+    # The process exits straight after ``run``, so the objects made by the
+    # imports need no more cyclic collection: freezing them skips the walks
+    # over them, at exit and during the command.
+    gc.freeze()
     sys.exit(run())
 
 

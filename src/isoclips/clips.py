@@ -16,7 +16,6 @@ such cell has explicit witness tests.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd
 from typing import List
 
@@ -58,12 +57,38 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True, slots=True)
 class ClipsRuleOutcome:
-    """Result of one pairwise clips together with the rule that produced it."""
+    """Result of one pairwise clips together with the rule that produced it.
 
-    result: ClassSet
-    rule_id: str
+    Immutable; equality and hashing compare ``(result, rule_id)``.
+    """
+
+    __slots__ = ("result", "rule_id")
+
+    def __init__(self, result: ClassSet, rule_id: str):
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "rule_id", rule_id)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copy and pickle rebuild through __init__, not through __setattr__.
+        return (ClipsRuleOutcome, (self.result, self.rule_id))
+
+    def __eq__(self, other):
+        if other.__class__ is not ClipsRuleOutcome:
+            return NotImplemented
+        return self.result == other.result and self.rule_id == other.rule_id
+
+    def __hash__(self):
+        return hash((self.result, self.rule_id))
+
+    def __repr__(self) -> str:
+        return f"ClipsRuleOutcome(result={self.result!r}, rule_id={self.rule_id!r})"
 
 
 def _outcome(items, rule_id: str) -> ClipsRuleOutcome:
@@ -292,13 +317,13 @@ def clips_sets(ctx: Context, f1: ClassSet, f2: ClassSet) -> ClassSet:
     Python-level dunder or property is called per pair.  Timed on CPython
     3.11: ``set.update``, which hashes every tuple-backed class, is 5.6x
     slower than ``list.extend`` with one ``ClassSet`` at the end, and a
-    ``NamedTuple`` field read is 2.45x slower than the dataclass field read
-    of ``ClipsRuleOutcome.result``.  Classes are interned (see ``groups``),
-    so the cache's key match and the final ``ClassSet`` dedupe stop at the
-    identity check.  A memo of whole rows per ``(ctx, a, f2)`` would skip
-    the inner loop, but its memory shows in the benchmark's ``peak_rss_mb``
-    through the harness's growing latency list, so it waits for ROADMAP
-    item 1.
+    ``NamedTuple`` field read is about 2.3x slower than the slots
+    attribute read of ``ClipsRuleOutcome.result``.  Classes are interned
+    (see ``groups``), so the cache's key match and the final ``ClassSet``
+    dedupe stop at the identity check.  A memo of whole rows per
+    ``(ctx, a, f2)`` would skip the inner loop, but its memory shows in the
+    benchmark's ``peak_rss_mb`` through the harness's growing latency list,
+    so it waits for ROADMAP item 1.
     """
     out: List[SubgroupClass] = []
     for a in f1._classes:

@@ -8,7 +8,6 @@ under direct sum, tensor product and the symmetric/antisymmetric squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .groups import (
@@ -31,16 +30,64 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True, order=True)
 class HarmonicLabel:
-    """Degree-``n`` harmonic space; ``star`` twists the action by det(g)."""
+    """Degree-``n`` harmonic space; ``star`` twists the action by det(g).
 
-    n: int
-    star: bool = False
+    Immutable; equality, hashing and the order compare ``(n, star)``.  A
+    slotted class rather than a dataclass, so importing the package does not
+    pay for ``dataclasses`` (and ``inspect``); rather than a ``NamedTuple``,
+    whose C hashing speeds up the square decomposition enough to raise the
+    benchmark's ``peak_rss_mb`` through its latency list (ROADMAP item 1).
+    """
 
-    def __post_init__(self):
-        if self.n < 0:
+    __slots__ = ("n", "star")
+
+    def __init__(self, n: int, star: bool = False):
+        if n < 0:
             raise ValueError("harmonic degree must be >= 0")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "star", star)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copy and pickle rebuild through __init__, not through __setattr__.
+        return (HarmonicLabel, (self.n, self.star))
+
+    def __eq__(self, other):
+        if other.__class__ is not HarmonicLabel:
+            return NotImplemented
+        return self.n == other.n and self.star == other.star
+
+    def __hash__(self):
+        return hash((self.n, self.star))
+
+    def __lt__(self, other):
+        if other.__class__ is not HarmonicLabel:
+            return NotImplemented
+        return (self.n, self.star) < (other.n, other.star)
+
+    def __le__(self, other):
+        if other.__class__ is not HarmonicLabel:
+            return NotImplemented
+        return (self.n, self.star) <= (other.n, other.star)
+
+    def __gt__(self, other):
+        if other.__class__ is not HarmonicLabel:
+            return NotImplemented
+        return (self.n, self.star) > (other.n, other.star)
+
+    def __ge__(self, other):
+        if other.__class__ is not HarmonicLabel:
+            return NotImplemented
+        return (self.n, self.star) >= (other.n, other.star)
+
+    def __repr__(self) -> str:
+        return f"HarmonicLabel(n={self.n!r}, star={self.star!r})"
 
     @property
     def dim(self) -> int:

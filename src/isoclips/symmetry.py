@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .clips import clips_sets
 from .groups import (
@@ -25,8 +25,7 @@ class MinusOneAction(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class RepSpec:
+class RepSpec(NamedTuple):
     """A representation given by its harmonic content in a fixed context."""
 
     context: Context

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -263,15 +264,28 @@ class TestVerify:
 
 
 def test_cli_import_loads_neither_numpy_nor_oracle():
-    # Every command but ``verify`` must start without paying numpy's import.
+    # Every command but ``verify`` must start without paying numpy's import,
+    # and the core package without ``dataclasses`` (which imports
+    # ``inspect``) or ``json``.  ``-S`` keeps ``.pth`` files from preloading
+    # modules.
     src = os.path.dirname(os.path.dirname(isoclips.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    unwanted = ("numpy", "isoclips.oracle", "dataclasses", "inspect", "json")
     probe = (
         "import sys, isoclips.cli; "
-        "print(sorted(m for m in ('numpy', 'isoclips.oracle') if m in sys.modules))"
+        f"print(sorted(m for m in {unwanted!r} if m in sys.modules))"
     )
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_run_does_not_freeze_the_collector(capsys):
+    # Only ``main``, whose process exits after the command, freezes the
+    # import-time objects; ``run`` is also called in process.
+    before = gc.get_freeze_count()
+    assert run(["isotropy", "H2"]) == 0
+    assert run(["clips", "D2", "O(2)", "--json"]) == 0
+    assert gc.get_freeze_count() == before

@@ -6,6 +6,7 @@ import pytest
 
 from isoclips import (
     ClassSet,
+    ClipsRuleOutcome,
     Context,
     ICO,
     O2,
@@ -284,6 +285,21 @@ class TestRuleIds:
     def test_oracle_adjusted_cells_are_flagged(self):
         for pair in [(TETRA, TETRA), (ICO, ICO), (ICO, OCTA)]:
             assert clips_pair_detailed(SO3_CTX, *pair).rule_id.endswith("+oracle")
+
+    def test_outcome_is_an_immutable_value(self):
+        outcome = clips_pair_detailed(SO3_CTX, dihedral(3), cyclic(6))
+        twin = ClipsRuleOutcome(ClassSet(outcome.result), outcome.rule_id)
+        assert twin == outcome and hash(twin) == hash(outcome)
+        assert twin != ClipsRuleOutcome(outcome.result, "other")
+        with pytest.raises(AttributeError):
+            outcome.rule_id = "other"
+        with pytest.raises(AttributeError):
+            outcome.result = ClassSet()
+        assert clips_pair_detailed(SO3_CTX, dihedral(3), cyclic(6)).rule_id == "Table1:Dn-Zm"
+        assert copy.deepcopy(outcome) == outcome
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
+        assert repr(outcome) == (
+            "ClipsRuleOutcome(result=ClassSet({1, Z2, Z3}), rule_id='Table1:Dn-Zm')")
 
 
 class TestCellTable:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import cos
 
 import pytest
@@ -229,3 +231,46 @@ class TestHarmonicSum:
     def test_dim(self):
         assert HarmonicSum({HarmonicLabel(3): 1, HarmonicLabel(2, True): 1,
                             HarmonicLabel(1): 2}).dim == 18
+
+
+class TestHarmonicLabel:
+    def test_equality_and_hash(self):
+        assert HarmonicLabel(2) == HarmonicLabel(2, False)
+        assert hash(HarmonicLabel(2)) == hash(HarmonicLabel(2, False))
+        assert HarmonicLabel(2) != HarmonicLabel(2, True)
+        assert HarmonicLabel(2) != HarmonicLabel(3)
+        assert HarmonicLabel(2) != (2, False)
+        assert len({HarmonicLabel(2), HarmonicLabel(2), HarmonicLabel(2, True)}) == 2
+
+    def test_order(self):
+        h2, h2s, h3 = HarmonicLabel(2), HarmonicLabel(2, True), HarmonicLabel(3)
+        assert h2 < h2s < h3
+        assert h2 <= h2 and h3 >= h2s and h3 > h2
+        assert sorted([h3, h2s, h2]) == [h2, h2s, h3]
+        with pytest.raises(TypeError):
+            h2 < (2, False)
+
+    def test_immutable(self):
+        label = HarmonicLabel(2)
+        with pytest.raises(AttributeError):
+            label.n = 3
+        with pytest.raises(AttributeError):
+            del label.star
+        assert label == HarmonicLabel(2)
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError):
+            HarmonicLabel(-1)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy,
+        copy.deepcopy,
+        lambda l: pickle.loads(pickle.dumps(l)),
+        lambda l: pickle.loads(pickle.dumps(l, protocol=0)),
+    ], ids=["copy", "deepcopy", "pickle", "pickle-0"])
+    def test_round_trips(self, clone):
+        for label in (HarmonicLabel(0), HarmonicLabel(5, True)):
+            assert clone(label) == label
+
+    def test_repr(self):
+        assert repr(HarmonicLabel(4, True)) == "HarmonicLabel(n=4, star=True)"

@@ -51,6 +51,12 @@ class TestIsotropyClasses:
         for n in (3, 4, 5):
             assert isotropy_classes(spec(f"{n}*H1")) == got
 
+    def test_spec_fields(self):
+        content = parse_rep("H4 + 2*H2")
+        s = RepSpec(Context.O3, content)
+        assert s.context is Context.O3 and s.content is content
+        assert s == RepSpec(context=Context.O3, content=parse_rep("H4 + 2*H2"))
+
     def test_elasticity(self):
         got = isotropy_classes(spec("H4 + 2*H2 + 2*H0"))
         assert len(got) == 8
