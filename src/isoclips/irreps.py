@@ -8,6 +8,7 @@ under direct sum, tensor product and the symmetric/antisymmetric squares.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .groups import (
@@ -30,6 +31,7 @@ from .groups import (
 )
 
 
+@total_ordering
 class HarmonicLabel:
     """Degree-``n`` harmonic space; ``star`` twists the action by det(g).
 
@@ -70,21 +72,6 @@ class HarmonicLabel:
         if other.__class__ is not HarmonicLabel:
             return NotImplemented
         return (self.n, self.star) < (other.n, other.star)
-
-    def __le__(self, other):
-        if other.__class__ is not HarmonicLabel:
-            return NotImplemented
-        return (self.n, self.star) <= (other.n, other.star)
-
-    def __gt__(self, other):
-        if other.__class__ is not HarmonicLabel:
-            return NotImplemented
-        return (self.n, self.star) > (other.n, other.star)
-
-    def __ge__(self, other):
-        if other.__class__ is not HarmonicLabel:
-            return NotImplemented
-        return (self.n, self.star) >= (other.n, other.star)
 
     def __repr__(self) -> str:
         return f"HarmonicLabel(n={self.n!r}, star={self.star!r})"
@@ -243,8 +230,8 @@ def isotropy_irrep_so3(n: int) -> ClassSet:
 def isotropy_irrep_o3(label: HarmonicLabel) -> ClassSet:
     """Isotropy classes of an O(3) irreducible on which ``-I`` acts as ``-Id``.
 
-    Valid for (n odd, plain) and (n even, starred) labels with n >= 1.  The
-    full class ``O(3)`` (isotropy of the zero vector) is always included.
+    Valid for (n odd, plain) and (n even, starred) labels.  The full class
+    ``O(3)`` (isotropy of the zero vector) is always included.
     """
     n = label.n
     if label.minus_one_sign() != -1:
@@ -252,8 +239,10 @@ def isotropy_irrep_o3(label: HarmonicLabel) -> ClassSet:
             f"{label} has -I acting as +Id; route through the SO(3) list and "
             "the type II lift instead"
         )
-    if n < 1:
-        raise ValueError("degree must be >= 1 here")
+    if n == 0:
+        # One-dimensional det-twisted space: nonzero vectors are fixed
+        # exactly by the rotations.
+        return ClassSet([SO3, O3_FULL])
     out = [O3_FULL]
     if n >= 3:
         out.append(TRIV)

@@ -21,7 +21,7 @@ from ..groups import (
 from .realize import MATCH_TOL, MatrixGroup
 
 _ANGLE_TOL = 1e-6
-_AXIS_TOL = 1e-6
+_AXIS_TOL = 1e-12
 
 
 def _cosines(R: np.ndarray) -> np.ndarray:
@@ -37,11 +37,11 @@ def _moved(R: np.ndarray) -> np.ndarray:
 def _rotation_axes(R: np.ndarray) -> np.ndarray:
     """(n, 3) unit axes, of canonical sign, of the (n, 3, 3) non-identity
     rotations R: from the antisymmetric part, or from the symmetric part
-    when the angle is within 1e-4 of pi.  Each norm is ``sqrt(u.u)``, as
+    when the angle is within 1e-7 of pi.  Each norm is ``sqrt(u.u)``, as
     ``np.linalg.norm`` takes it for one vector."""
     u = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
                   R[:, 1, 0] - R[:, 0, 1]], axis=1)
-    near_pi = pi - np.arccos(_cosines(R)) < 1e-4
+    near_pi = pi - np.arccos(_cosines(R)) < 1e-7
     if near_pi.any():
         # R ~ 2 uu^T - I: read the axis off the symmetric part.
         M = (R[near_pi] + np.eye(3)) / 2.0

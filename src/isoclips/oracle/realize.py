@@ -143,9 +143,9 @@ class MatrixGroup:
         """Image under ``x -> det(x) x`` (a rotation group)."""
         return self.elements * self.dets[:, None, None]
 
-    def contains_minus_id(self, tol: float = MATCH_TOL) -> bool:
+    def contains_minus_id(self) -> bool:
         return bool(
-            (np.abs(self.elements + np.eye(3)).max(axis=(1, 2)) <= tol).any()
+            (np.abs(self.elements + np.eye(3)).max(axis=(1, 2)) <= MATCH_TOL).any()
         )
 
 

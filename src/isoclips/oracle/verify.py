@@ -48,16 +48,17 @@ Only work that can change a report is done.
 
 * Conjugation keeps the ``invariants`` of an element, ``trace + 8 det``.
   ``|tr X - tr Y| <= sqrt(3) ||X - Y||_F``, and a det mismatch gives
-  ``||X - Y||_F >= 2``, so with ``tol = MATCH_TOL`` two elements whose
-  invariants are farther apart than ``match_window(tol)`` lie over
-  ``2 tol`` apart in every frame.  Such a pair can pass neither the
+  ``||X - Y||_F >= 2``, so two elements whose invariants are farther apart
+  than ``MATCH_WINDOW`` (``2 sqrt(3) MATCH_TOL``) lie over
+  ``2 MATCH_TOL`` apart in every frame.  Such a pair can pass neither the
   Frobenius test of ``batch_membership`` nor the entrywise test at
-  ``tol / 100`` of the tight retry (entrywise within t gives Frobenius
-  within 3t).  So each cell builds one match plan (``match_plan``) from
-  the invariant runs of A and of B: only the elements of B in runs with a
-  partner run of A are conjugated, and each run is compared only with the
-  elements of A in its partner runs.  In a criterion-6 sweep that is 38.6%
-  of B's elements and 12.2% of the element pairs.
+  ``MATCH_TOL / 100`` of the tight retry (entrywise within t gives
+  Frobenius within 3t).  So each cell builds one match plan
+  (``match_plan``) from the invariant runs of A and of B: only the
+  elements of B in runs with a partner run of A are conjugated, and each
+  run is compared only with the elements of A in its partner runs.  In a
+  criterion-6 sweep that is 38.6% of B's elements and 12.2% of the element
+  pairs.
 * A cell's frames are its curated frames, then the shared frames: the
   random frames and the generic frame, alike in every cell at one seed.
   They go through in chunks of at most ``ROW_BUDGET`` (frame, element)
@@ -105,13 +106,14 @@ so a class stands for its group's elements in a key.
   of ``_PIECE`` frames, keyed on (samples, seed, piece); the piece grid
   does not depend on the cell.  A criterion-6 sweep reads its 201 shared
   frames, 80% of its 306177 cell frames, from one piece built once.
-* ``_runs``: the ``invariant_runs`` of a class's elements, keyed on the
-  class; a cell's plan joins the runs of its two classes.
-* ``_subset_class``: the class of a member subset, keyed on the class of A
-  and the packed member mask.  The subset determines both the closure test
-  and the class.  A subset that is not closed is never cached: its tight
-  retry depends on the frame that produced it.  A sweep classifies 544
-  distinct subsets in 5155 distinct per-cell masks.
+* ``_runs``: the ``invariant_runs`` record of a class's elements, keyed on
+  the class; a cell's plan joins the records of its two classes.
+* ``_subset_class``: the class of a member subset, or None if it is not
+  closed, keyed on the class of A and the packed member mask.  The subset
+  determines both the closure test and the class.  The tight retry of a
+  subset that is not closed depends on the frame that produced it, so it
+  runs per frame and is never cached.  A sweep classifies 544 distinct
+  subsets in 5155 distinct per-cell masks.
 """
 
 from __future__ import annotations
@@ -381,14 +383,11 @@ class VerificationReport:
         }
 
 
-class _NotClosed(Exception):
-    """A member subset that is not a group; raised, so never cached."""
-
-
 @functools.lru_cache(maxsize=2048)
-def _subset_class(a: SubgroupClass, packed: bytes) -> SubgroupClass:
+def _subset_class(a: SubgroupClass, packed: bytes) -> Optional[SubgroupClass]:
     """Class of the elements of ``realize(a)`` whose bits are set in
-    ``packed`` (a ``np.packbits`` member mask), if they are closed."""
+    ``packed`` (a ``np.packbits`` member mask), or None if they are not
+    closed."""
     # Looked up per call: perfbench's tracer wraps this name in the kernels
     # module.
     from .kernels import closure_ok
@@ -396,19 +395,16 @@ def _subset_class(a: SubgroupClass, packed: bytes) -> SubgroupClass:
     G = realize(a).elements
     mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=len(G)).astype(bool)
     mats = np.ascontiguousarray(G[mask])
-    if not closure_ok(mats, MATCH_TOL):
-        raise _NotClosed
-    return classify(MatrixGroup(mats))
+    return classify(MatrixGroup(mats)) if closure_ok(mats) else None
 
 
 def _classify_mask(a: SubgroupClass, packed: bytes, BC_f: np.ndarray) -> SubgroupClass:
     """Class of the member subset ``packed`` of ``realize(a)``; ``BC_f`` is
     the first frame's conjugated B with that mask, used for the tight
     retry."""
-    try:
-        return _subset_class(a, packed)
-    except _NotClosed:
-        pass
+    c = _subset_class(a, packed)
+    if c is not None:
+        return c
     # Looked up per call: perfbench's tracer wraps these names in the
     # kernels module.
     from .kernels import closure_ok, membership
@@ -418,7 +414,7 @@ def _classify_mask(a: SubgroupClass, packed: bytes, BC_f: np.ndarray) -> Subgrou
     # tightened tolerance before giving up.
     G = realize(a).elements
     mats = np.ascontiguousarray(G[membership(G, BC_f, MATCH_TOL / 100.0)])
-    if not closure_ok(mats, MATCH_TOL):
+    if not closure_ok(mats):
         raise ValueError(
             "intersection is not closed at either tolerance; "
             "frame sits on a degenerate alignment"
@@ -500,9 +496,8 @@ def _frame(curated: np.ndarray, samples: int, seed: int, i: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _runs(cls: SubgroupClass) -> Tuple[np.ndarray, ...]:
-    """``invariant_runs`` of the elements of ``realize(cls)`` at
-    ``MATCH_TOL``."""
-    out = invariant_runs(realize(cls).elements, MATCH_TOL)
+    """``invariant_runs`` of the elements of ``realize(cls)``."""
+    out = invariant_runs(realize(cls).elements)
     for x in out:
         x.flags.writeable = False
     return out
@@ -516,7 +511,7 @@ def _witnesses(a: SubgroupClass, b: SubgroupClass, curated: np.ndarray,
     first frame that reaches it."""
     elements_a = realize(a).elements
     # Only the needed elements of B can match an element of A in any frame.
-    needed, blocks = match_plan(elements_a, _runs(a), _runs(b), MATCH_TOL)
+    needed, blocks = match_plan(_runs(a), _runs(b))
     B_needed = np.ascontiguousarray(realize(b).elements[needed])
     # Classify each distinct mask once, visiting them in the order of their
     # first frame, chunk after chunk: the first frame to reach a class stays
@@ -527,7 +522,7 @@ def _witnesses(a: SubgroupClass, b: SubgroupClass, curated: np.ndarray,
     step = max(1, ROW_BUDGET // len(B_needed))
     for start in range(0, count, step):
         BC = _conjugates(B_needed, curated, samples, seed, start, min(start + step, count))
-        packed = np.packbits(batch_membership(elements_a, BC, MATCH_TOL, blocks), axis=1)
+        packed = np.packbits(batch_membership(elements_a, BC, blocks), axis=1)
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first = np.unique(rows, return_index=True)
         for f_idx in np.sort(first):

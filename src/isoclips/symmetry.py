@@ -9,8 +9,6 @@ from .clips import clips_sets
 from .groups import (
     ClassSet,
     Context,
-    O3_FULL,
-    SO3,
     UnsupportedClipsError,
     full_class,
     type_ii,
@@ -42,14 +40,6 @@ def minus_one_action(spec: RepSpec) -> MinusOneAction:
     if signs == {1} or not signs:
         return MinusOneAction.PLUS_ID
     return MinusOneAction.MINUS_ID
-
-
-def _label_classes_o3(label) -> ClassSet:
-    if label.n == 0:
-        # One-dimensional det-twisted space: nonzero vectors are fixed
-        # exactly by the rotations.
-        return ClassSet([SO3, O3_FULL])
-    return isotropy_irrep_o3(label)
 
 
 def _fold(per_label, ctx: Context) -> ClassSet:
@@ -90,5 +80,5 @@ def isotropy_classes(spec: RepSpec) -> ClassSet:
         # in SO(3) and lift K to K u (-K).
         so3 = isotropy_classes(RepSpec(Context.SO3, spec.content))
         return ClassSet([type_ii(k) for k in so3])
-    per = [(_label_classes_o3(label), mult) for label, mult in spec.content.terms]
+    per = [(isotropy_irrep_o3(label), mult) for label, mult in spec.content.terms]
     return _fold(per, Context.O3)

@@ -194,14 +194,13 @@ def test_criterion_7_algebraic_laws():
                     violations += 1
     rnd = random.Random(20_608)
     from isoclips.irreps import isotropy_irrep_so3 as so3_set
-    from isoclips.symmetry import _label_classes_o3
 
     for _ in range(1000):
         spec = _random_spec(rnd)
         if spec.context is Context.SO3:
             per = [so3_set(l.n) for l, m in spec.content.terms for _ in range(m)]
         else:
-            per = [_label_classes_o3(l) for l, m in spec.content.terms for _ in range(m)]
+            per = [isotropy_irrep_o3(l) for l, m in spec.content.terms for _ in range(m)]
         baseline = isotropy_classes(spec)
         rnd.shuffle(per)
         acc = per[0]

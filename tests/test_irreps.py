@@ -207,11 +207,11 @@ class TestO3Irreps:
         assert z_minus(2) in got and z_minus(4) in got and z_minus(6) not in got
 
     def test_plus_id_labels_rejected(self):
-        for label in (HarmonicLabel(2), HarmonicLabel(3, True), HarmonicLabel(0, True)):
+        for label in (HarmonicLabel(2), HarmonicLabel(3, True)):
             with pytest.raises(ValueError):
                 isotropy_irrep_o3(label)
 
-    @pytest.mark.parametrize("n", range(1, 21))
+    @pytest.mark.parametrize("n", range(0, 21))
     def test_minus_one_sign_in_domain(self, n):
         label = HarmonicLabel(n, star=(n % 2 == 0))
         assert label.minus_one_sign() == -1

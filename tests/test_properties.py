@@ -181,8 +181,7 @@ def rep_specs(draw):
 
 def _fold_orders(spec):
     """Fold the per-copy class sets in shuffled orders; all must agree."""
-    from isoclips.symmetry import _label_classes_o3
-    from isoclips.irreps import isotropy_irrep_so3
+    from isoclips.irreps import isotropy_irrep_o3, isotropy_irrep_so3
 
     if spec.context is Context.SO3:
         per = [
@@ -192,7 +191,7 @@ def _fold_orders(spec):
         ]
     else:
         per = [
-            _label_classes_o3(label)
+            isotropy_irrep_o3(label)
             for label, mult in spec.content.terms
             for _ in range(mult)
         ]
