@@ -1,7 +1,7 @@
 """Brute-force matrix-group oracle for the clips rules."""
 
 from .classify import classify, rotation_axis_angle
-from .realize import MATCH_TOL, ORTHO_TOL, MatrixGroup, realize, rotation
+from .realize import MATCH_TOL, ORTHO_TOL, realize, rotation
 from .verify import (
     VerificationReport,
     alignment_frames,
@@ -15,7 +15,6 @@ from .verify import (
 __all__ = [
     "MATCH_TOL",
     "ORTHO_TOL",
-    "MatrixGroup",
     "VerificationReport",
     "alignment_frames",
     "characteristic_axes",

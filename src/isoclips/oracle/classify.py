@@ -18,7 +18,7 @@ from ..groups import (
     type_ii,
     type_iii_class,
 )
-from .realize import MATCH_TOL, MatrixGroup
+from .realize import MATCH_TOL, contains_minus_id
 
 _ANGLE_TOL = 1e-6
 _AXIS_TOL = 1e-12
@@ -34,13 +34,19 @@ def _moved(R: np.ndarray) -> np.ndarray:
     return R[np.abs(R - np.eye(3)).max(axis=(1, 2)) > MATCH_TOL]
 
 
+def _axial(R: np.ndarray) -> np.ndarray:
+    """(n, 3) vectors of the antisymmetric parts ``R - R^T`` of the (n, 3, 3)
+    rotations R: each is 2 sin(angle) times the rotation's axis."""
+    return np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
+                     R[:, 1, 0] - R[:, 0, 1]], axis=1)
+
+
 def _rotation_axes(R: np.ndarray) -> np.ndarray:
     """(n, 3) unit axes, of canonical sign, of the (n, 3, 3) non-identity
     rotations R: from the antisymmetric part, or from the symmetric part
     when the angle is within 1e-7 of pi.  Each norm is ``sqrt(u.u)``, as
     ``np.linalg.norm`` takes it for one vector."""
-    u = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
-                  R[:, 1, 0] - R[:, 0, 1]], axis=1)
+    u = _axial(R)
     near_pi = pi - np.arccos(_cosines(R)) < 1e-7
     if near_pi.any():
         # R ~ 2 uu^T - I: read the axis off the symmetric part.
@@ -91,7 +97,13 @@ def _classify_rotations(rotations: np.ndarray) -> SubgroupClass:
         if orders[0] != n:
             raise ValueError("axial group with inconsistent order")
         # Angles must be the multiples of 2*pi/n, or the set is not a group.
-        steps = np.arccos(_cosines(_moved(rotations))) / (2.0 * pi / n)
+        # Each angle from twice its sine, |R - R^T|, and twice its cosine,
+        # tr R - 1: exact near a half turn, where the arccos of the trace is
+        # not.
+        R = _moved(rotations)
+        angles = np.arctan2(np.linalg.norm(_axial(R), axis=1),
+                            R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2] - 1.0)
+        steps = angles / (2.0 * pi / n)
         if (np.abs(steps - np.rint(steps)) > 1e-4).any():
             raise ValueError("axial set is not a cyclic group")
         return cyclic(n)
@@ -109,21 +121,20 @@ def _classify_rotations(rotations: np.ndarray) -> SubgroupClass:
     raise ValueError(f"unrecognized rotation group signature: order {n}, {orders}")
 
 
-def classify(g: MatrixGroup) -> SubgroupClass:
-    """Exact canonical class of a closed finite matrix group."""
-    if (g.dets > 0).all():
-        return _classify_rotations(g.elements)
-    if g.contains_minus_id():
-        proper = g.proper_part()
-        if 2 * proper.shape[0] != g.order:
-            raise ValueError("broken group: -I present but |G| != 2|L|")
-        return type_ii(_classify_rotations(proper))
-    # Type III: classify by the characteristic couple (L, H).
-    proper = g.proper_part()
-    if proper.shape[0] * 2 != g.order:
+def classify(G: np.ndarray) -> SubgroupClass:
+    """Exact canonical class of a closed finite matrix group, given as the
+    ``(order, 3, 3)`` array of its elements."""
+    dets = np.sign(np.linalg.det(G))
+    if (dets > 0).all():
+        return _classify_rotations(G)
+    proper = G[dets > 0]
+    if 2 * len(proper) != len(G):
         raise ValueError("broken group: proper part is not index 2")
     L = _classify_rotations(proper)
-    H = _classify_rotations(np.ascontiguousarray(g.pi_image()))
+    if contains_minus_id(G):
+        return type_ii(L)
+    # Type III: classify by the characteristic couple (L, H).
+    H = _classify_rotations(G * dets[:, None, None])
     out = type_iii_class(L, H)
     if out is None:
         raise ValueError(f"unrecognized characteristic couple ({L}, {H})")

@@ -11,9 +11,7 @@ in the same orientation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from math import cos, pi, sin, sqrt
-from typing import Optional
 
 import numpy as np
 
@@ -114,39 +112,14 @@ def _minus_coset(L: np.ndarray, H: np.ndarray) -> np.ndarray:
     return -H[keep]
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixGroup:
-    """A finite set of orthogonal matrices realizing a subgroup class.
+def pi_image(G: np.ndarray) -> np.ndarray:
+    """Image of the elements G under ``x -> det(x) x`` (a rotation group)."""
+    return G * np.sign(np.linalg.det(G))[:, None, None]
 
-    Frozen, because ``realize`` hands every caller the same cached canonical
-    group: rebinding a field of it would change it for all later callers."""
 
-    elements: np.ndarray
-    dets: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dets", np.sign(np.linalg.det(self.elements)))
-
-    @property
-    def order(self) -> int:
-        return self.elements.shape[0]
-
-    def conjugate(self, frame: np.ndarray) -> "MatrixGroup":
-        f = np.asarray(frame, dtype=float)
-        els = np.einsum("ab,nbc,dc->nad", f, self.elements, f)
-        return MatrixGroup(np.ascontiguousarray(els))
-
-    def proper_part(self) -> np.ndarray:
-        return self.elements[self.dets > 0]
-
-    def pi_image(self) -> np.ndarray:
-        """Image under ``x -> det(x) x`` (a rotation group)."""
-        return self.elements * self.dets[:, None, None]
-
-    def contains_minus_id(self) -> bool:
-        return bool(
-            (np.abs(self.elements + np.eye(3)).max(axis=(1, 2)) <= MATCH_TOL).any()
-        )
+def contains_minus_id(G: np.ndarray) -> bool:
+    """Whether -I is among the elements G, to ``MATCH_TOL``."""
+    return bool((np.abs(G + np.eye(3)).max(axis=(1, 2)) <= MATCH_TOL).any())
 
 
 # Element builders of the finite rotation kinds, from the class parameter.
@@ -172,21 +145,16 @@ def _canonical_elements(cls: SubgroupClass) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _canonical_group(cls: SubgroupClass) -> MatrixGroup:
-    g = MatrixGroup(np.ascontiguousarray(_canonical_elements(cls)))
+def _canonical(cls: SubgroupClass) -> np.ndarray:
+    G = np.ascontiguousarray(_canonical_elements(cls))
     # Shared by every caller of ``realize``.
-    g.elements.flags.writeable = False
-    g.dets.flags.writeable = False
-    return g
+    G.flags.writeable = False
+    return G
 
 
-def realize(cls: SubgroupClass, frame: Optional[np.ndarray] = None) -> MatrixGroup:
-    """Realize a finite class as an explicit matrix group, optionally rotated.
-
-    With no frame this is the class's one cached canonical group, whose
-    elements are read-only; with a frame, a new conjugated group."""
+def realize(cls: SubgroupClass) -> np.ndarray:
+    """The elements of a finite class's canonical group: one cached,
+    read-only ``(order, 3, 3)`` array per class."""
     if not cls.is_finite:
         raise ValueError(f"cannot realize the infinite class {cls}")
-    g = _canonical_group(cls)
-    return g if frame is None else g.conjugate(frame)
-
+    return _canonical(cls)

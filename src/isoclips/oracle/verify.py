@@ -75,15 +75,18 @@ A sweep over many cells repeats most of its work, so each distinct piece is
 done once per process and kept in a bounded cache that holds a full
 criterion-6 sweep.  Each cache is exact: its value is a function of its key
 alone, so a hit returns what the computation would.  Classes are interned
-(``groups``) and ``realize`` returns one read-only canonical group per class,
-so a class stands for its group's elements in a key.
+(``groups``) and ``realize`` returns one read-only array of elements per
+class, so a class stands for its group's elements in a key.
 
 * ``_axes_of``: keyed on the class, one representative v per orbit of its
   group's characteristic axes, with its azimuth frame, as the bytes of v,
   of the pair (e1, e2) perpendicular to v, of the cosines to v and of the
   exact azimuths about v of the group's off-axis signed axes, and the order
-  of its stabiliser.  A step reads e1 and e2 of both its axes from these
-  bytes; they are functions of v, so equal frames stay equal.
+  of its stabiliser.  All of it comes from one ``_axis_clusters`` pass over
+  the group's rotation image: the axes, their orbits, and each stabiliser
+  order as one more than the count on v's axis.  A step reads e1 and e2 of
+  both its axes from these bytes; they are functions of v, so equal frames
+  stay equal.
 * ``_steps``: for an azimuth frame of A and the class of B, the frames of
   each alignment step: a signed B representative sv sent to u by ``base``,
   then twisted about u by the generic twists and by the azimuth differences
@@ -130,7 +133,7 @@ from ..clips import clips_pair
 from ..groups import ClassSet, Context, SubgroupClass, render_class
 from .classify import _axis_clusters, classify, rotation_axis_angle
 from .kernels import ROW_BUDGET, batch_membership, invariant_runs, match_plan
-from .realize import MATCH_TOL, MatrixGroup, realize, rotation, rotations
+from .realize import MATCH_TOL, contains_minus_id, pi_image, realize, rotation, rotations
 
 _GENERIC_TWISTS = (0.0, 0.6180339887498949, 1.8392867552141612)
 _IDENTITY = np.eye(3)[None]
@@ -182,25 +185,11 @@ def rotation_between(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     return rotation(axis, float(np.arccos(c)))
 
 
-def characteristic_axes(g: MatrixGroup) -> np.ndarray:
-    """Distinct axes of the rotation images det(x) x of all elements; ``z``
-    for the groups without one."""
-    axes = [u for u, _ in _axis_clusters(g.pi_image())]
+def characteristic_axes(G: np.ndarray) -> np.ndarray:
+    """Distinct axes of the rotation images det(x) x of the elements G;
+    ``z`` for the groups without one."""
+    axes = [u for u, _ in _axis_clusters(pi_image(G))]
     return np.array(axes or [[0.0, 0.0, 1.0]])
-
-
-def _axis_orbit_reps(axes: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-    """One axis per orbit under the given rotation action (axes up to sign)."""
-    reps = []
-    seen = np.zeros(len(axes), dtype=bool)
-    images = np.einsum("rij,aj->rai", rotations, axes)
-    for i in range(len(axes)):
-        if seen[i]:
-            continue
-        reps.append(axes[i])
-        dots = np.abs(images @ axes[i])
-        seen |= (dots > 1.0 - 1e-7).any(axis=0)
-    return np.array(reps)
 
 
 def _signed(axes: np.ndarray) -> np.ndarray:
@@ -243,23 +232,28 @@ def _axes_of(cls: SubgroupClass) -> Tuple[Tuple[bytes, int], ...]:
     its azimuth frame, the bytes of u, of ``_perpendicular(u)`` (e1, e2), of
     the cosines to u and of the exact azimuths about u of the group's
     off-axis signed axes; and the order of its stabiliser in the group's
-    rotation image."""
-    g = realize(cls)
-    image = g.pi_image()
-    axes = characteristic_axes(g)
-    reps = _axis_orbit_reps(axes, image)
+    rotation image: the identity and the rotations about u."""
+    G = realize(cls)
+    image = pi_image(G)
+    clusters = _axis_clusters(image) or [(np.array([0.0, 0.0, 1.0]), 0)]
+    axes = np.array([u for u, _ in clusters])
     signed = _signed(axes)
-    frames = []
-    for u in reps:
+    # In a group with -I, x and -x have one image, so each rotation is
+    # counted twice; the identity is in no cluster.
+    twice = 2 if contains_minus_id(G) else 1
+    seen = np.zeros(len(axes), dtype=bool)
+    out = []
+    for i, (u, count) in enumerate(clusters):
+        if seen[i]:
+            continue
+        # u's orbit: the axes through an image of u.
+        seen |= (np.abs(axes @ (image @ u).T) > 1.0 - 1e-7).any(axis=1)
         e1, e2 = _perpendicular(u)
         ws = signed[_off_axis(signed, e1, e2)]
-        frames.append(u.tobytes() + e1.tobytes() + e2.tobytes() + (ws @ u).tobytes()
-                      + _azimuths(ws, e1, e2).tobytes())
-    # The rotations fixing each representative; in a group with -I, x and
-    # -x have one image, so each rotation is counted twice.
-    fixed = np.abs(np.einsum("rij,aj->ari", image, reps) - reps[:, None]).max(axis=2) < 1e-7
-    stabilisers = fixed.sum(axis=1) // (2 if g.contains_minus_id() else 1)
-    return tuple(zip(frames, (int(n) for n in stabilisers)))
+        frame = (u.tobytes() + e1.tobytes() + e2.tobytes() + (ws @ u).tobytes()
+                 + _azimuths(ws, e1, e2).tobytes())
+        out.append((frame, count // twice + 1))
+    return tuple(out)
 
 
 def _round9(d: np.ndarray) -> np.ndarray:
@@ -392,10 +386,10 @@ def _subset_class(a: SubgroupClass, packed: bytes) -> Optional[SubgroupClass]:
     # module.
     from .kernels import closure_ok
 
-    G = realize(a).elements
+    G = realize(a)
     mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=len(G)).astype(bool)
     mats = np.ascontiguousarray(G[mask])
-    return classify(MatrixGroup(mats)) if closure_ok(mats) else None
+    return classify(mats) if closure_ok(mats) else None
 
 
 def _classify_mask(a: SubgroupClass, packed: bytes, BC_f: np.ndarray) -> SubgroupClass:
@@ -412,14 +406,14 @@ def _classify_mask(a: SubgroupClass, packed: bytes, BC_f: np.ndarray) -> Subgrou
     # A frame near (but not on) an alignment manifold can match only part
     # of a coset.  Genuine matches sit far below MATCH_TOL, so retry with a
     # tightened tolerance before giving up.
-    G = realize(a).elements
+    G = realize(a)
     mats = np.ascontiguousarray(G[membership(G, BC_f, MATCH_TOL / 100.0)])
     if not closure_ok(mats):
         raise ValueError(
             "intersection is not closed at either tolerance; "
             "frame sits on a degenerate alignment"
         )
-    return classify(MatrixGroup(mats))
+    return classify(mats)
 
 
 def _kron(F: np.ndarray) -> np.ndarray:
@@ -497,7 +491,7 @@ def _frame(curated: np.ndarray, samples: int, seed: int, i: int) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _runs(cls: SubgroupClass) -> Tuple[np.ndarray, ...]:
     """``invariant_runs`` of the elements of ``realize(cls)``."""
-    out = invariant_runs(realize(cls).elements)
+    out = invariant_runs(realize(cls))
     for x in out:
         x.flags.writeable = False
     return out
@@ -509,10 +503,10 @@ def _witnesses(a: SubgroupClass, b: SubgroupClass, curated: np.ndarray,
     A and B of a and b over the frames f of the curated frames, then
     ``_random_frames(samples, seed)`` and ``_GENERIC_FRAME``, each with the
     first frame that reaches it."""
-    elements_a = realize(a).elements
+    elements_a = realize(a)
     # Only the needed elements of B can match an element of A in any frame.
     needed, blocks = match_plan(_runs(a), _runs(b))
-    B_needed = np.ascontiguousarray(realize(b).elements[needed])
+    B_needed = np.ascontiguousarray(realize(b)[needed])
     # Classify each distinct mask once, visiting them in the order of their
     # first frame, chunk after chunk: the first frame to reach a class stays
     # its witness.
@@ -539,8 +533,8 @@ def _witnesses(a: SubgroupClass, b: SubgroupClass, curated: np.ndarray,
 def find_witness(a: SubgroupClass, b: SubgroupClass,
                  target: SubgroupClass) -> Optional[np.ndarray]:
     """The first frame f of ``alignment_frames(a, b)`` and the generic frame
-    for which ``realize(a) n realize(b, f)`` has class ``target``, or None if
-    no frame has it."""
+    for which ``A n fBf^-1``, with A and B the canonical groups of a and b,
+    has class ``target``, or None if no frame has it."""
     return _witnesses(a, b, alignment_frames(a, b), 0, 0).get(target)
 
 
