@@ -350,10 +350,6 @@ class ClassSet:
             sorted(set(items), key=SubgroupClass.sort_key)
         )
 
-    @property
-    def classes(self) -> Tuple[SubgroupClass, ...]:
-        return self._classes
-
     def __iter__(self) -> Iterator[SubgroupClass]:
         return iter(self._classes)
 
@@ -368,9 +364,6 @@ class ClassSet:
 
     def __hash__(self) -> int:
         return hash(self._classes)
-
-    def __or__(self, other: "ClassSet") -> "ClassSet":
-        return ClassSet(self._classes + tuple(other))
 
     def __repr__(self) -> str:
         return f"ClassSet({{{self.render()}}})"

@@ -1,16 +1,19 @@
 """Hot numeric kernels for the matrix-group oracle.
 
-``membership`` compares 3x3 blocks entrywise within a given ``tol``;
-``closure_ok`` does so within the one match tolerance ``MATCH_TOL``,
-comparing each product only with the elements near it in a sorted linear
-key.  ``batch_membership`` tests many frames at once with a Frobenius
-threshold of ``MATCH_TOL`` instead: for orthogonal ``A`` and ``B``,
-``||A - B||_F^2 = 6 - 2<A, B>``, so one matrix product over flattened
-blocks replaces the difference tensor.  It compares only the pairs of a
-match plan: ``invariant_runs`` sorts a group's conjugation invariants
-(``invariants``) into runs, one record per group, and ``match_plan`` joins
-the records of two groups into the element pairs whose invariants allow a
-match.
+``membership`` and ``closure_ok`` answer one question, whether each of some
+3x3 blocks lies within entrywise ``tol`` of a member of a set, with one
+search (``_near``): the set is sorted by a generic linear key of the
+entries, and each block is compared only with the members whose keys lie
+within reach of its own, found by ``searchsorted``.  With about one
+candidate per block, testing m blocks against n members takes
+O((m + n) log n) time and O(m + n) memory.  ``batch_membership`` tests many
+frames at once with a Frobenius threshold of ``MATCH_TOL`` instead: for
+orthogonal ``A`` and ``B``, ``||A - B||_F^2 = 6 - 2<A, B>``, so one matrix
+product over flattened blocks replaces the difference tensor.  It compares
+only the pairs of a match plan: ``invariant_runs`` sorts a group's
+conjugation invariants (``invariants``) into runs, one record per group,
+and ``match_plan`` joins the records of two groups into the element pairs
+whose invariants allow a match.
 """
 
 from __future__ import annotations
@@ -28,27 +31,56 @@ MATCH_TOL = 1e-6
 # Frobenius ``MATCH_TOL`` (see ``batch_membership``).
 MATCH_WINDOW = 2.0 * sqrt(3.0) * MATCH_TOL
 ROW_BUDGET = 1 << 12  # (frame, B element) rows per chunk of frames, bounds memory
-_MATCH_ROWS = 256  # rows of A per block in _matches, bounds memory
 _PRODUCTS = 1 << 16  # products per block in closure_ok, bounds memory
 
-# A generic linear form of the nine entries (``closure_ok``): any weights
-# give the same verdict, and generic ones leave about one candidate per
-# product.
-_KEY = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0]) - 1.0
-_KEY.flags.writeable = False
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, made read-only itself, or of a copy if
+    ``a`` is a view: numpy refuses to make a view of a read-only owner
+    writeable again, so a shared array stays as built."""
+    if a.base is not None:
+        a = a.copy()
+    a.flags.writeable = False
+    return a.view()
+
+
+# A generic linear form of the nine entries (``_near``): any weights give
+# the same verdict, and generic ones leave about one candidate per block.
+_KEY = read_only(np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0]) - 1.0)
 
 # (j0, j1, rows of A, the flattened A[rows] transposed): see ``match_plan``.
 Block = Tuple[int, int, np.ndarray, np.ndarray]
 
 
-def _matches(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
-    """Bool matrix (len(A), len(B)): A[i] within entrywise tol of B[j]."""
-    out = np.empty((A.shape[0], B.shape[0]), dtype=bool)
-    for start in range(0, A.shape[0], _MATCH_ROWS):
-        block = A[start:start + _MATCH_ROWS]
-        diff = np.abs(block[:, None] - B[None, :])
-        out[start:start + block.shape[0]] = diff.max(axis=(2, 3)) <= tol
-    return out
+def _by_key(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, flat)``: the elements of G flattened to (len(G), 9) and
+    sorted by their ``_KEY`` values, and those values in order."""
+    flat = G.reshape(-1, 9)
+    keys = flat @ _KEY
+    order = np.argsort(keys)
+    return keys[order], flat[order]
+
+
+def _near(keys: np.ndarray, flat: np.ndarray, X: np.ndarray, tol: float) -> np.ndarray:
+    """Bool mask over the rows of X (m, 9): X[i] within entrywise ``tol`` of
+    some row of ``flat``, a set sorted by its ``keys`` (``_by_key``).
+
+    A row within entrywise ``tol`` of X[i] has a key within
+    ``||_KEY||_1 tol`` of X[i]'s, so X[i] is compared only with the rows
+    whose keys fall in that range, found by ``searchsorted``.
+    """
+    n = len(keys)
+    # The slack covers the rounding of the keys.
+    reach = float(np.abs(_KEY).sum()) * (tol + 1e-12)
+    xk = X @ _KEY
+    lo = np.searchsorted(keys, xk - reach)
+    count = np.searchsorted(keys, xk + reach, side="right") - lo
+    found = np.zeros(len(X), dtype=bool)
+    # Candidate d of every row at once; rarely more than one round.
+    for d in range(int(count.max(initial=0))):
+        near = np.abs(X - flat[np.minimum(lo + d, n - 1)]) <= tol
+        found |= (d < count) & near.all(axis=1)
+    return found
 
 
 def _products(L: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -58,7 +90,8 @@ def _products(L: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 def membership(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
     """Bool mask over A: A[i] within entrywise tol of some B[j]."""
-    return _matches(A, B, tol).any(axis=1)
+    keys, flat = _by_key(B)
+    return _near(keys, flat, A.reshape(-1, 9), tol)
 
 
 def invariants(G: np.ndarray) -> np.ndarray:
@@ -149,31 +182,15 @@ def batch_membership(A: np.ndarray, BC: np.ndarray, blocks: List[Block]) -> np.n
 def closure_ok(G: np.ndarray) -> bool:
     """Is the set closed under products (within entrywise ``MATCH_TOL``)?
 
-    An element within entrywise ``MATCH_TOL`` of a product has a key, the
-    linear form ``_KEY`` of its entries, within ``||_KEY||_1 MATCH_TOL`` of
-    the product's.  So with G sorted by key, each product is compared only with
-    the elements whose keys fall in that range, found by ``searchsorted``.
-    Products go in blocks of whole rows G[a] @ G, of at most ``_PRODUCTS``
-    products unless one row alone holds more.
+    G is sorted by key once, and each product is looked up in it with
+    ``_near``.  Products go in blocks of whole rows G[a] @ G, of at most
+    ``_PRODUCTS`` products unless one row alone holds more.
     """
     n = G.shape[0]
-    flat = G.reshape(n, 9)
-    keys = flat @ _KEY
-    order = np.argsort(keys)
-    keys, flat = keys[order], flat[order]
-    # The slack covers the rounding of the keys.
-    reach = float(np.abs(_KEY).sum()) * (MATCH_TOL + 1e-12)
+    keys, flat = _by_key(G)
     step = max(1, _PRODUCTS // max(n, 1))
     for start in range(0, n, step):
         prods = _products(G[start:start + step], G).reshape(-1, 9)
-        pk = prods @ _KEY
-        lo = np.searchsorted(keys, pk - reach)
-        count = np.searchsorted(keys, pk + reach, side="right") - lo
-        found = np.zeros(len(prods), dtype=bool)
-        # Candidate d of every product at once; rarely more than one round.
-        for d in range(int(count.max())):
-            near = np.abs(prods - flat[np.minimum(lo + d, n - 1)]) <= MATCH_TOL
-            found |= (d < count) & near.all(axis=1)
-        if not found.all():
+        if not _near(keys, flat, prods, MATCH_TOL).all():
             return False
     return True

@@ -26,7 +26,7 @@ from ..groups import (
     characteristic_h,
     characteristic_l,
 )
-from .kernels import MATCH_TOL, membership
+from .kernels import MATCH_TOL, membership, read_only
 
 ORTHO_TOL = 1e-9
 
@@ -57,14 +57,14 @@ def rotation(axis, angle: float) -> np.ndarray:
 
 
 def _cyclic_elements(n: int) -> np.ndarray:
-    return np.array([rotation(Z, 2.0 * pi * j / n) for j in range(n)])
+    return rotations(np.tile(Z, (n, 1)), [2.0 * pi * j / n for j in range(n)])
 
 
 def _dihedral_elements(n: int) -> np.ndarray:
-    secondaries = [
-        rotation([cos(j * pi / n), sin(j * pi / n), 0.0], pi) for j in range(n)
-    ]
-    return np.concatenate([_cyclic_elements(n), np.array(secondaries)])
+    # The turns about z, then the half turns about the secondary axes.
+    secondaries = [[cos(j * pi / n), sin(j * pi / n), 0.0] for j in range(n)]
+    return rotations(np.concatenate([np.tile(Z, (n, 1)), secondaries]),
+                     [2.0 * pi * j / n for j in range(n)] + [pi] * n)
 
 
 def _tetra_elements() -> np.ndarray:
@@ -104,7 +104,7 @@ def _ico_elements_cached() -> np.ndarray:
             frontier.append(g @ m)
             frontier.append(m @ g)
     assert count == 60
-    return mats
+    return read_only(mats)
 
 
 def _minus_coset(L: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -129,7 +129,7 @@ _ROTATION_BUILDERS = {
     DIHEDRAL_K: _dihedral_elements,
     TETRA_K: lambda n: _tetra_elements(),
     OCTA_K: lambda n: _octa_elements(),
-    ICO_K: lambda n: _ico_elements_cached().copy(),
+    ICO_K: lambda n: _ico_elements_cached(),
 }
 
 
@@ -146,10 +146,8 @@ def _canonical_elements(cls: SubgroupClass) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _canonical(cls: SubgroupClass) -> np.ndarray:
-    G = np.ascontiguousarray(_canonical_elements(cls))
     # Shared by every caller of ``realize``.
-    G.flags.writeable = False
-    return G
+    return read_only(np.ascontiguousarray(_canonical_elements(cls)))
 
 
 def realize(cls: SubgroupClass) -> np.ndarray:

@@ -132,14 +132,14 @@ import numpy as np
 from ..clips import clips_pair
 from ..groups import ClassSet, Context, SubgroupClass, render_class
 from .classify import _axis_clusters, classify, rotation_axis_angle
-from .kernels import ROW_BUDGET, batch_membership, invariant_runs, match_plan
+from . import kernels
+from .kernels import ROW_BUDGET, batch_membership, invariant_runs, match_plan, read_only
 from .realize import MATCH_TOL, contains_minus_id, pi_image, realize, rotation, rotations
 
 _GENERIC_TWISTS = (0.0, 0.6180339887498949, 1.8392867552141612)
-_IDENTITY = np.eye(3)[None]
-_IDENTITY.flags.writeable = False
-_GENERIC_FRAME = rotation((0.3141592653589793, 0.2718281828459045, 0.9), 1.2345678901234567)[None]
-_GENERIC_FRAME.flags.writeable = False
+_IDENTITY = read_only(np.eye(3)[None])
+_GENERIC_FRAME = read_only(
+    rotation((0.3141592653589793, 0.2718281828459045, 0.9), 1.2345678901234567)[None])
 
 
 def random_rotations(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -283,9 +283,7 @@ def _frame_block(block: bytes) -> np.ndarray:
     u, base, twists = data[:3], data[3:12], data[12:]
     k = len(twists)
     rots = rotations(np.repeat(u[None], k, axis=0), twists.tolist())
-    out = rots @ np.repeat(base.reshape(1, 3, 3), k, axis=0)
-    out.flags.writeable = False
-    return out
+    return read_only(rots @ np.repeat(base.reshape(1, 3, 3), k, axis=0))
 
 
 @functools.lru_cache(maxsize=2048)
@@ -382,14 +380,10 @@ def _subset_class(a: SubgroupClass, packed: bytes) -> Optional[SubgroupClass]:
     """Class of the elements of ``realize(a)`` whose bits are set in
     ``packed`` (a ``np.packbits`` member mask), or None if they are not
     closed."""
-    # Looked up per call: perfbench's tracer wraps this name in the kernels
-    # module.
-    from .kernels import closure_ok
-
     G = realize(a)
     mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=len(G)).astype(bool)
     mats = np.ascontiguousarray(G[mask])
-    return classify(mats) if closure_ok(mats) else None
+    return classify(mats) if kernels.closure_ok(mats) else None
 
 
 def _classify_mask(a: SubgroupClass, packed: bytes, BC_f: np.ndarray) -> SubgroupClass:
@@ -399,16 +393,12 @@ def _classify_mask(a: SubgroupClass, packed: bytes, BC_f: np.ndarray) -> Subgrou
     c = _subset_class(a, packed)
     if c is not None:
         return c
-    # Looked up per call: perfbench's tracer wraps these names in the
-    # kernels module.
-    from .kernels import closure_ok, membership
-
     # A frame near (but not on) an alignment manifold can match only part
     # of a coset.  Genuine matches sit far below MATCH_TOL, so retry with a
     # tightened tolerance before giving up.
     G = realize(a)
-    mats = np.ascontiguousarray(G[membership(G, BC_f, MATCH_TOL / 100.0)])
-    if not closure_ok(mats):
+    mats = np.ascontiguousarray(G[kernels.membership(G, BC_f, MATCH_TOL / 100.0)])
+    if not kernels.closure_ok(mats):
         raise ValueError(
             "intersection is not closed at either tolerance; "
             "frame sits on a degenerate alignment"
@@ -426,9 +416,7 @@ def _kron(F: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=2)
 def _random_frames(samples: int, seed: int) -> np.ndarray:
     """The seed's random frames: every cell of a sweep draws the same ones."""
-    out = random_rotations(samples, np.random.default_rng(seed))
-    out.flags.writeable = False
-    return out
+    return read_only(random_rotations(samples, np.random.default_rng(seed)))
 
 
 # Shared frames per piece: one piece holds the 201 shared frames of a
@@ -448,9 +436,7 @@ def _shared_factor(samples: int, seed: int, piece: int) -> np.ndarray:
     frames = _random_frames(samples, seed)[lo:lo + _PIECE]
     if lo + _PIECE > samples:
         frames = np.concatenate([frames, _GENERIC_FRAME])
-    out = _kron(frames)
-    out.flags.writeable = False
-    return out
+    return read_only(_kron(frames))
 
 
 def _conjugates(G: np.ndarray, curated: np.ndarray, samples: int, seed: int,
@@ -491,10 +477,7 @@ def _frame(curated: np.ndarray, samples: int, seed: int, i: int) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _runs(cls: SubgroupClass) -> Tuple[np.ndarray, ...]:
     """``invariant_runs`` of the elements of ``realize(cls)``."""
-    out = invariant_runs(realize(cls))
-    for x in out:
-        x.flags.writeable = False
-    return out
+    return tuple(read_only(x) for x in invariant_runs(realize(cls)))
 
 
 def _witnesses(a: SubgroupClass, b: SubgroupClass, curated: np.ndarray,

@@ -1,5 +1,5 @@
 import functools
-from math import acos, atan2, pi
+from math import acos, atan2, cos, pi, sin
 
 import numpy as np
 import pytest
@@ -307,6 +307,37 @@ class TestRealize:
             assert np.array_equal(rotation(axis, angle), R)
         assert np.allclose(batch @ batch.transpose(0, 2, 1), np.eye(3), atol=1e-12)
         assert np.allclose(np.linalg.det(batch), 1.0)
+
+    def test_cyclic_and_dihedral_builders_equal_per_element_rotations(self):
+        # Reference: one ``rotation`` call per element, the turns about z
+        # and then the half turns about the secondary axes.
+        from isoclips.oracle.realize import Z, _cyclic_elements, _dihedral_elements
+
+        for n in [*range(1, 41), 1000]:
+            turns = np.array([rotation(Z, 2.0 * pi * j / n) for j in range(n)])
+            halves = np.array([rotation([cos(j * pi / n), sin(j * pi / n), 0.0], pi)
+                               for j in range(n)])
+            assert _cyclic_elements(n).tobytes() == turns.tobytes(), n
+            assert _dihedral_elements(n).tobytes() == np.concatenate([turns, halves]).tobytes(), n
+
+    def test_large_type_iii_realize_memory(self):
+        import tracemalloc
+
+        from isoclips.oracle.realize import _canonical
+
+        cls = d_h(1000)
+        _canonical.cache_clear()
+        tracemalloc.start()
+        try:
+            G = realize(cls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(G) == cls.order()
+        # The minus coset looks the elements of H up in L by sorted key; the
+        # dense comparison of 256 elements at a time against all of L took
+        # 55 MB.
+        assert peak < 8 * 2**20
 
     def test_ico_closure_matches_elementwise_loop(self):
         # Reference: the closure that compared each candidate against the
@@ -818,6 +849,50 @@ class TestSweepCaches:
                 assert np.array_equal(find_witness(a, b, c).view(np.int64),
                                       frames[f].view(np.int64)), c
 
+    def test_shared_arrays_cannot_be_made_writeable(self):
+        # Each is shared by every later caller: setting the flag back would
+        # let one caller change what all of them read.
+        from isoclips.oracle import kernels, verify
+
+        self._clear()
+        verify_clips(OCTA, d_h(6), samples=10, seed=0)
+        frame, _ = verify._axes_of(OCTA)[0]
+        shared = [realize(OCTA), _ico_elements_cached(), kernels._KEY, verify._IDENTITY,
+                  verify._GENERIC_FRAME, verify._steps(frame, d_h(6))[0],
+                  verify._random_frames(10, 0), verify._shared_factor(10, 0, 0),
+                  *verify._runs(OCTA)]
+        for x in shared:
+            with pytest.raises(ValueError):
+                x.flags.writeable = True
+        assert realize(OCTA)[0].tolist() == np.eye(3).tolist()
+
+    def test_kernel_calls_go_through_the_kernels_module(self, monkeypatch):
+        # The benchmark's tracer counts calls by wrapping these two names in
+        # the kernels module, so verify must look them up there.
+        from isoclips.oracle import kernels
+        from isoclips.oracle.verify import _classify_mask
+
+        calls = {"closure_ok": 0, "membership": 0}
+
+        def counting(name):
+            inner = getattr(kernels, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(kernels, name, counting(name))
+        self._clear()
+        assert verify_clips(cyclic(4), dihedral(4), samples=20, seed=0).verdict == "pass"
+        # A forced tight retry, as in the test below.
+        A = realize(OCTA)
+        mask = ((np.abs(A - rotation([0, 0, 1], pi / 2)).max(axis=(1, 2)) < 1e-12)
+                | (np.abs(A - np.eye(3)).max(axis=(1, 2)) < 1e-12))
+        assert _classify_mask(OCTA, np.packbits(mask).tobytes(), realize(cyclic(4))) == cyclic(4)
+        assert calls["closure_ok"] > 0 and calls["membership"] > 0
+
     def test_open_subset_takes_its_own_tight_retry(self):
         from isoclips.oracle.verify import _classify_mask, _subset_class
 
@@ -914,27 +989,22 @@ class TestKernels:
 
     @pytest.mark.parametrize("cls", [ICO, type_ii(ICO)], ids=str)
     def test_match_tables_equal_unchunked_reference(self, cls):
-        from isoclips.oracle.kernels import _matches, _products
-
         G = realize(cls)
         n = len(G)
         hit = self._hits(G)
-        assert np.array_equal(_matches(_products(G, G), G, MATCH_TOL), hit)
         assert hit.any(axis=1).all() and closure_ok(G)
         part = G[: n // 3]
         assert not self._hits(part).any(axis=1).all() and not closure_ok(part)
 
     @pytest.mark.parametrize("cls", [ICO, type_ii(ICO)], ids=str)
     def test_closure_equals_match_table_reference(self, cls):
-        from isoclips.oracle.kernels import _matches, _products
-
         G = realize(cls)
         rng = np.random.default_rng(4)
         subsets = [G, G[:60], G[: len(G) // 3]]  # closed, closed, open
         subsets += [G[rng.random(len(G)) < p] for p in (0.3, 0.6, 0.9, 0.97)]
         for H in subsets:
             H = np.ascontiguousarray(H)
-            expected = _matches(_products(H, H), H, MATCH_TOL).any(axis=1).all()
+            expected = self._hits(H).any(axis=1).all()
             assert closure_ok(H) == expected, len(H)
 
     @pytest.mark.parametrize("cls", [cyclic(200), dihedral(100)], ids=str)
@@ -954,8 +1024,8 @@ class TestKernels:
     def test_closure_memory_is_bounded(self):
         import tracemalloc
 
-        # _matches compares the 14400 products in row blocks; all at once
-        # the difference tensor would take 124 MB.
+        # closure_ok looks the 14400 products up by sorted key; comparing
+        # all of them with every element at once would take 124 MB.
         G = np.ascontiguousarray(realize(type_ii(ICO)))
         tracemalloc.start()
         try:
@@ -964,6 +1034,51 @@ class TestKernels:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
+
+    @staticmethod
+    def _dense_membership(A, B, tol):
+        # Reference: each element of A against every element of B.
+        return np.array([(np.abs(B - x).max(axis=(1, 2)) <= tol).any() for x in A], dtype=bool)
+
+    @pytest.mark.parametrize("tol", [MATCH_TOL, MATCH_TOL / 100, ORTHO_TOL * 10],
+                             ids=["MATCH_TOL", "MATCH_TOL/100", "ORTHO_TOL*10"])
+    def test_membership_equals_dense_reference(self, tol):
+        # Elements of B with one entry moved by +-tol/2 (a match) or +-2 tol
+        # (none), and random rotations (none).
+        rng = np.random.default_rng(12)
+        B = realize(type_ii(ICO))
+        m = 400
+        A = B[rng.integers(0, len(B), m)].copy()
+        shift = rng.choice([-2.0, -0.5, 0.5, 2.0], m) * tol
+        A.reshape(m, 9)[np.arange(m), rng.integers(0, 9, m)] += shift
+        A = np.concatenate([A, random_rotations(50, rng)])
+        expected = self._dense_membership(A, B, tol)
+        assert np.array_equal(expected[:m], np.abs(shift) < tol) and not expected[m:].any()
+        assert np.array_equal(membership(A, B, tol), expected)
+
+    @pytest.mark.parametrize("tol", [MATCH_TOL, MATCH_TOL / 100, ORTHO_TOL * 10],
+                             ids=["MATCH_TOL", "MATCH_TOL/100", "ORTHO_TOL*10"])
+    def test_membership_over_near_keys(self, tol):
+        # B: a rotation R with one entry moved by +-2 tol, 18 members at
+        # least 2 tol apart whose keys lie within one reach of each other, so
+        # the candidate loop takes many rounds.  A: near the members, and R
+        # moved by up to 4 tol in every entry.
+        from isoclips.oracle.kernels import _KEY
+
+        R = rotation([1.0, 2.0, 3.0], 0.7)
+        B = np.repeat(R[None], 18, axis=0)
+        B.reshape(18, 9)[np.arange(18), np.arange(18) % 9] += np.repeat([-2.0, 2.0], 9) * tol
+        rng = np.random.default_rng(13)
+        A = R + rng.uniform(-4.0, 4.0, size=(2000, 3, 3)) * tol
+        A[:18] = B + rng.uniform(-0.9, 0.9, size=(18, 3, 3)) * tol
+        reach = np.abs(_KEY).sum() * tol
+        keys = B.reshape(-1, 9) @ _KEY
+        assert keys.max() - keys.min() < reach
+        candidates = (np.abs(A.reshape(-1, 9) @ _KEY - keys[:, None]) <= reach).sum(axis=0)
+        assert candidates.max() > 1
+        expected = self._dense_membership(A, B, tol)
+        assert expected[:18].all() and not expected.all()
+        assert np.array_equal(membership(A, B, tol), expected)
 
     @pytest.mark.parametrize("tol", [MATCH_TOL], ids=str)
     @pytest.mark.parametrize("a,b", [
