@@ -21,13 +21,11 @@ from .groups import (
     ClassSet,
     Context,
     ContextError,
-    HasseEdges,
     SubgroupClass,
     UnsupportedClipsError,
-    hasse,
     render_class,
 )
-from .clips import clips_pair
+from .clips import HasseEdges, clips_pair, hasse
 from .irreps import HarmonicLabel, HarmonicSum
 from .parsing import ParseError, parse_class, parse_rep
 from .symmetry import RepSpec, isotropy_classes
@@ -200,6 +198,10 @@ def _cmd_poset(args) -> int:
     else:
         for lo, hi in edges:
             print(f"{render_class(lo)} -> {render_class(hi)}")
+        if not edges:
+            # The full class lies above every other, so only a one-class
+            # result has no edge.
+            print(result.render())
     return EXIT_OK
 
 

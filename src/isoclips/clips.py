@@ -6,7 +6,8 @@ the trivial class, restriction to SO(3) and the Lemma 5.1 reduction of a
 rotation group against a type III class) come first; every other rule is a
 row of ``_CELLS``, one per pair of class kinds, closed-form in the class
 parameters by gcd and parity.  Every rule carries a stable ``rule_id`` so a
-result can be traced to the rule that produced it.
+result can be traced to the rule that produced it.  The partial order on
+classes, ``is_leq``, is clips membership, and ``hasse`` reduces it on a set.
 
 Rule ids suffixed ``+oracle`` mark cells where the closed form was adjusted
 to match the brute-force matrix oracle (see the verification suite); each
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from math import gcd
-from typing import List
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .groups import (
     ClassSet,
@@ -34,6 +35,7 @@ from .groups import (
     O2_MINUS,
     UnsupportedClipsError,
     _KINDS,
+    characteristic_h,
     characteristic_l,
     check_admissible,
     cyclic,
@@ -57,38 +59,11 @@ from .groups import (
 )
 
 
-class ClipsRuleOutcome:
-    """Result of one pairwise clips together with the rule that produced it.
+class ClipsRuleOutcome(NamedTuple):
+    """Result of one pairwise clips together with the rule that produced it."""
 
-    Immutable; equality and hashing compare ``(result, rule_id)``.
-    """
-
-    __slots__ = ("result", "rule_id")
-
-    def __init__(self, result: ClassSet, rule_id: str):
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "rule_id", rule_id)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # Copy and pickle rebuild through __init__, not through __setattr__.
-        return (ClipsRuleOutcome, (self.result, self.rule_id))
-
-    def __eq__(self, other):
-        if other.__class__ is not ClipsRuleOutcome:
-            return NotImplemented
-        return self.result == other.result and self.rule_id == other.rule_id
-
-    def __hash__(self):
-        return hash((self.result, self.rule_id))
-
-    def __repr__(self) -> str:
-        return f"ClipsRuleOutcome(result={self.result!r}, rule_id={self.rule_id!r})"
+    result: ClassSet
+    rule_id: str
 
 
 def _outcome(items, rule_id: str) -> ClipsRuleOutcome:
@@ -316,17 +291,68 @@ def clips_sets(ctx: Context, f1: ClassSet, f2: ClassSet) -> ClassSet:
     outcome's result, and the key's ``Context`` hashes in C, so no
     Python-level dunder or property is called per pair.  Timed on CPython
     3.11: ``set.update``, which hashes every tuple-backed class, is 5.6x
-    slower than ``list.extend`` with one ``ClassSet`` at the end, and a
-    ``NamedTuple`` field read is about 2.3x slower than the slots
-    attribute read of ``ClipsRuleOutcome.result``.  Classes are interned
-    (see ``groups``), so the cache's key match and the final ``ClassSet``
-    dedupe stop at the identity check.  A memo of whole rows per
-    ``(ctx, a, f2)`` would skip the inner loop, but its memory shows in the
-    benchmark's ``peak_rss_mb`` through the harness's growing latency list,
-    so it waits for ROADMAP item 1.
+    slower than ``list.extend`` with one ``ClassSet`` at the end.  Over the
+    benchmark's fold corpus, the outcome's result read by position ran
+    within 3% of the former slots class's attribute read; the ``NamedTuple``
+    field read ``.result`` ran as fast or up to 5% slower, and tuple
+    unpacking 10-15% slower.  Classes are interned (see ``groups``), so
+    the cache's key match and the final ``ClassSet`` dedupe stop at the
+    identity check.  A memo of whole rows per ``(ctx, a, f2)`` would skip
+    the inner loop, but its memory shows in the benchmark's ``peak_rss_mb``
+    through the harness's growing latency list, so it waits for ROADMAP
+    item 1.
     """
     out: List[SubgroupClass] = []
     for a in f1._classes:
         for b in f2._classes:
-            out.extend(clips_pair_detailed(ctx, a, b).result._classes)
+            out.extend(clips_pair_detailed(ctx, a, b)[0]._classes)
     return ClassSet(out)
+
+
+@functools.lru_cache(maxsize=None)
+def is_leq(a: SubgroupClass, b: SubgroupClass, ctx: Context) -> bool:
+    """Partial order: is ``a`` conjugate to a subgroup of ``b``?
+
+    For non type II operands this is the clips membership test
+    ``a in clips_pair(ctx, a, b)``; type II operands reduce on the
+    characteristic data (only classes containing ``-I`` can contain a
+    type II subgroup).
+    """
+    check_admissible(ctx, a, b)
+    if a == b:
+        return True
+    if b == full_class(ctx):
+        return True
+    if a == full_class(ctx):
+        return False
+    if a.is_type_ii and b.is_type_ii:
+        return is_leq(a.inner, b.inner, Context.SO3)
+    if a.is_type_ii:
+        return False
+    if b.is_type_ii:
+        if a.is_type_iii:
+            return is_leq(characteristic_h(a), b.inner, Context.SO3)
+        return is_leq(a, b.inner, Context.SO3)
+    return a in clips_pair(ctx, a, b)
+
+
+HasseEdges = Sequence[Tuple[SubgroupClass, SubgroupClass]]
+
+
+def hasse(classes: ClassSet, ctx: Context) -> HasseEdges:
+    """Transitive reduction of the partial order restricted to ``classes``."""
+    members = list(classes)
+    check_admissible(ctx, *members)
+    below = {
+        (a, b): is_leq(a, b, ctx) and a != b for a in members for b in members
+    }
+    edges = []
+    for a in members:
+        for b in members:
+            if not below[(a, b)]:
+                continue
+            if any(below[(a, c)] and below[(c, b)] for c in members):
+                continue
+            edges.append((a, b))
+    edges.sort(key=lambda e: (e[0].sort_key(), e[1].sort_key()))
+    return edges

@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 
 class Context(Enum):
@@ -370,54 +369,3 @@ class ClassSet:
 
     def render(self) -> str:
         return ", ".join(render_class(c) for c in self._classes)
-
-
-@functools.lru_cache(maxsize=None)
-def is_leq(a: SubgroupClass, b: SubgroupClass, ctx: Context) -> bool:
-    """Partial order: is ``a`` conjugate to a subgroup of ``b``?
-
-    For non type II operands this is the clips membership test
-    ``a in clips_pair(ctx, a, b)``; type II operands reduce on the
-    characteristic data (only classes containing ``-I`` can contain a
-    type II subgroup).
-    """
-    check_admissible(ctx, a, b)
-    if a == b:
-        return True
-    if b == full_class(ctx):
-        return True
-    if a == full_class(ctx):
-        return False
-    if a.is_type_ii and b.is_type_ii:
-        return is_leq(a.inner, b.inner, Context.SO3)
-    if a.is_type_ii:
-        return False
-    if b.is_type_ii:
-        if a.is_type_iii:
-            return is_leq(characteristic_h(a), b.inner, Context.SO3)
-        return is_leq(a, b.inner, Context.SO3)
-    from .clips import clips_pair
-
-    return a in clips_pair(ctx, a, b)
-
-
-HasseEdges = Sequence[Tuple[SubgroupClass, SubgroupClass]]
-
-
-def hasse(classes: ClassSet, ctx: Context) -> HasseEdges:
-    """Transitive reduction of the partial order restricted to ``classes``."""
-    members = list(classes)
-    check_admissible(ctx, *members)
-    below = {
-        (a, b): is_leq(a, b, ctx) and a != b for a in members for b in members
-    }
-    edges = []
-    for a in members:
-        for b in members:
-            if not below[(a, b)]:
-                continue
-            if any(below[(a, c)] and below[(c, b)] for c in members):
-                continue
-            edges.append((a, b))
-    edges.sort(key=lambda e: (e[0].sort_key(), e[1].sort_key()))
-    return edges

@@ -36,10 +36,9 @@ class HarmonicLabel:
     """Degree-``n`` harmonic space; ``star`` twists the action by det(g).
 
     Immutable; equality, hashing and the order compare ``(n, star)``.  A
-    slotted class rather than a dataclass, so importing the package does not
-    pay for ``dataclasses`` (and ``inspect``); rather than a ``NamedTuple``,
-    whose C hashing speeds up the square decomposition enough to raise the
-    benchmark's ``peak_rss_mb`` through its latency list (ROADMAP item 1).
+    slotted class rather than a ``NamedTuple``, whose C hashing speeds up
+    the square decomposition enough to raise the benchmark's
+    ``peak_rss_mb`` through its latency list (ROADMAP item 1).
     """
 
     __slots__ = ("n", "star")

@@ -4,8 +4,9 @@ Type I groups are built from their rotation generators in a fixed canonical
 orientation (primary axis z, first secondary axis x, cube/tetrahedron on the
 coordinate frame, dodecahedron with the golden-ratio vertex layout).  A type
 III group with characteristic couple (L, H) (``characteristic_l``,
-``characteristic_h``) is realized as ``L u (-(H \\ L))`` with L and H built
-in the same orientation.
+``characteristic_h``) is realized as ``L u (-(H \\ L))`` and a type II
+group ``[K x Zc2]`` as ``K u (-K)``, from the cached canonical groups of L,
+H and K.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ def _octa_elements() -> np.ndarray:
     return np.array(mats)
 
 
-@functools.lru_cache(maxsize=1)
-def _ico_elements_cached() -> np.ndarray:
+def _ico_elements() -> np.ndarray:
     # Closure of a vertex 3-fold and a face 5-fold of the dodecahedron with
     # vertices (+-1,+-1,+-1), (0,+-phi,+-1/phi) and cyclic permutations.
     gens = [rotation((1, 1, 1), 2 * pi / 3), rotation((PHI, 0.0, 1.0), 2 * pi / 5)]
@@ -104,7 +104,7 @@ def _ico_elements_cached() -> np.ndarray:
             frontier.append(g @ m)
             frontier.append(m @ g)
     assert count == 60
-    return read_only(mats)
+    return mats
 
 
 def _minus_coset(L: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -129,17 +129,17 @@ _ROTATION_BUILDERS = {
     DIHEDRAL_K: _dihedral_elements,
     TETRA_K: lambda n: _tetra_elements(),
     OCTA_K: lambda n: _octa_elements(),
-    ICO_K: lambda n: _ico_elements_cached(),
+    ICO_K: lambda n: _ico_elements(),
 }
 
 
 def _canonical_elements(cls: SubgroupClass) -> np.ndarray:
     if cls.is_type_iii:
-        L = _canonical_elements(characteristic_l(cls))
-        H = _canonical_elements(characteristic_h(cls))
+        L = _canonical(characteristic_l(cls))
+        H = _canonical(characteristic_h(cls))
         return np.concatenate([L, _minus_coset(L, H)])
     if cls.is_type_ii:
-        K = _canonical_elements(cls.inner)
+        K = _canonical(cls.inner)
         return np.concatenate([K, -K])
     return _ROTATION_BUILDERS[cls.kind](cls.n)
 

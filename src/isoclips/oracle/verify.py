@@ -123,9 +123,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import atan2, pi
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -341,8 +340,7 @@ def frame_axis_angle(f: np.ndarray) -> dict:
     return {"axis": [round(float(c), 12) for c in u], "angle": round(float(ang), 12)}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of the brute-force check of one clips cell."""
 
     pair: Tuple[SubgroupClass, SubgroupClass]

@@ -161,6 +161,15 @@ class TestPoset:
         run(["poset", "H0", "--dot", str(path)])
         assert '"SO(3)";' in path.read_text()
 
+    @pytest.mark.parametrize("rep,ctx,full", [
+        ("H0", "so3", "SO(3)"), ("0*H1", "so3", "SO(3)"), ("L2(H0)", "so3", "SO(3)"),
+        ("H0", "o3", "O(3)"),
+    ])
+    def test_one_class_result_prints_its_class(self, capsys, rep, ctx, full):
+        assert run(["poset", rep, "--ctx", ctx]) == 0
+        out, _ = out_of(capsys)
+        assert out == full + "\n"
+
     def test_json_edges_match_hasse(self, capsys):
         from isoclips import Context, RepSpec, hasse, isotropy_classes, parse_rep, render_class
 
@@ -280,6 +289,21 @@ def test_cli_import_loads_neither_numpy_nor_oracle():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_oracle_import_loads_no_dataclasses():
+    # ``verify`` pays for numpy, which does not import ``dataclasses``; the
+    # oracle's own records are NamedTuples, so it does not either.
+    import numpy
+
+    paths = [os.path.dirname(os.path.dirname(m.__file__)) for m in (isoclips, numpy)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
+    probe = "import sys, isoclips.oracle; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_run_does_not_freeze_the_collector(capsys):

@@ -34,7 +34,7 @@ from isoclips.oracle import (
 )
 from isoclips.oracle.kernels import (batch_membership, closure_ok, invariant_runs, match_plan,
                                      membership)
-from isoclips.oracle.realize import (ORTHO_TOL, PHI, _ico_elements_cached, contains_minus_id,
+from isoclips.oracle.realize import (ORTHO_TOL, PHI, _ico_elements, contains_minus_id,
                                      pi_image, rotations)
 
 
@@ -354,7 +354,7 @@ class TestRealize:
                 frontier.append(g @ m)
                 frontier.append(m @ g)
         reference = np.array(mats)
-        got = _ico_elements_cached()
+        got = _ico_elements()
         assert got.shape == reference.shape == (60, 3, 3)
         assert got.dtype == reference.dtype
         assert got.tobytes() == reference.tobytes()
@@ -857,7 +857,7 @@ class TestSweepCaches:
         self._clear()
         verify_clips(OCTA, d_h(6), samples=10, seed=0)
         frame, _ = verify._axes_of(OCTA)[0]
-        shared = [realize(OCTA), _ico_elements_cached(), kernels._KEY, verify._IDENTITY,
+        shared = [realize(OCTA), realize(ICO), kernels._KEY, verify._IDENTITY,
                   verify._GENERIC_FRAME, verify._steps(frame, d_h(6))[0],
                   verify._random_frames(10, 0), verify._shared_factor(10, 0, 0),
                   *verify._runs(OCTA)]
