@@ -8,6 +8,8 @@ row of ``_CELLS``, one per pair of class kinds, closed-form in the class
 parameters by gcd and parity.  Every rule carries a stable ``rule_id`` so a
 result can be traced to the rule that produced it.  The partial order on
 classes, ``is_leq``, is clips membership, and ``hasse`` reduces it on a set.
+``clips_pair_detailed`` caches single pairs; the fold's ``clips_sets`` keeps
+its own rows (see there).
 
 Rule ids suffixed ``+oracle`` mark cells where the closed form was adjusted
 to match the brute-force matrix oracle (see the verification suite); each
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from math import gcd
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .groups import (
     ClassSet,
@@ -66,8 +68,17 @@ class ClipsRuleOutcome(NamedTuple):
     rule_id: str
 
 
+# Every rule outcome, keyed by itself: one stored object per distinct
+# ``(result, rule_id)``, which the pair cache and the fold's rows share.
+_OUTCOMES: Dict[ClipsRuleOutcome, ClipsRuleOutcome] = {}
+
+
+def _shared(outcome: ClipsRuleOutcome) -> ClipsRuleOutcome:
+    return _OUTCOMES.setdefault(outcome, outcome)
+
+
 def _outcome(items, rule_id: str) -> ClipsRuleOutcome:
-    return ClipsRuleOutcome(ClassSet(items), rule_id)
+    return _shared(ClipsRuleOutcome(ClassSet(items), rule_id))
 
 
 def _param(cls: SubgroupClass):
@@ -247,10 +258,9 @@ _CELLS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def clips_pair_detailed(ctx: Context, a: SubgroupClass,
-                        b: SubgroupClass) -> ClipsRuleOutcome:
-    """Pairwise clips with the id of the rule that was applied."""
+def _rule(ctx: Context, a: SubgroupClass, b: SubgroupClass) -> ClipsRuleOutcome:
+    """The outcome of the rule for one pair, uncached; equal outcomes are
+    one shared object."""
     check_admissible(ctx, a, b)
     full = full_class(ctx)
     if a == full:
@@ -272,10 +282,17 @@ def clips_pair_detailed(ctx: Context, a: SubgroupClass,
         return _outcome([target], "Table3:L")
     a, b = sorted((a, b), key=SubgroupClass.sort_key)
     if a.is_type_i and b.is_type_iii:  # reduce to the rotation part of b
-        inner = clips_pair_detailed(Context.SO3, a, characteristic_l(b))
-        return ClipsRuleOutcome(inner.result, f"Lemma5.1:{_KINDS[b.kind].l51}")
+        inner = _rule(Context.SO3, a, characteristic_l(b))
+        return _shared(ClipsRuleOutcome(inner.result, f"Lemma5.1:{_KINDS[b.kind].l51}"))
     rule_id, cell = _CELLS[a.kind, b.kind]
     return _outcome(cell(_param(a), _param(b)), rule_id)
+
+
+@functools.lru_cache(maxsize=None)
+def clips_pair_detailed(ctx: Context, a: SubgroupClass,
+                        b: SubgroupClass) -> ClipsRuleOutcome:
+    """Pairwise clips with the id of the rule that was applied."""
+    return _rule(ctx, a, b)
 
 
 def clips_pair(ctx: Context, a: SubgroupClass, b: SubgroupClass) -> ClassSet:
@@ -283,29 +300,43 @@ def clips_pair(ctx: Context, a: SubgroupClass, b: SubgroupClass) -> ClassSet:
     return clips_pair_detailed(ctx, a, b).result
 
 
+# The fold's cache: one row per ``(ctx, a)``, mapping ``b`` to the class
+# tuple of the shared outcome of ``_rule(ctx, a, b)``.
+_ROWS: Dict[Tuple[Context, SubgroupClass],
+            Dict[SubgroupClass, Tuple[SubgroupClass, ...]]] = {}
+
+
 def clips_sets(ctx: Context, f1: ClassSet, f2: ClassSet) -> ClassSet:
     """Union of pairwise clips of two class families.
 
-    One cached ``clips_pair_detailed`` lookup per class pair.  The loop reads
-    the stored class tuples (``_classes``) of both families and of each
-    outcome's result, and the key's ``Context`` hashes in C, so no
-    Python-level dunder or property is called per pair.  Timed on CPython
+    The fold calls this once per step over every pair of its two families,
+    so it keeps its own two-level cache: one dict per ``(ctx, a)`` row,
+    mapping ``b`` to the stored class tuple (``_classes``) of the pair's
+    result.  A warm pair costs one ``row.get(b)`` and one ``list.extend``,
+    and no Python-level dunder or property runs per pair.  Timed on CPython
     3.11: ``set.update``, which hashes every tuple-backed class, is 5.6x
-    slower than ``list.extend`` with one ``ClassSet`` at the end.  Over the
-    benchmark's fold corpus, the outcome's result read by position ran
-    within 3% of the former slots class's attribute read; the ``NamedTuple``
-    field read ``.result`` ran as fast or up to 5% slower, and tuple
-    unpacking 10-15% slower.  Classes are interned (see ``groups``), so
-    the cache's key match and the final ``ClassSet`` dedupe stop at the
-    identity check.  A memo of whole rows per ``(ctx, a, f2)`` would skip
-    the inner loop, but its memory shows in the benchmark's ``peak_rss_mb``
-    through the harness's growing latency list, so it waits for ROADMAP
-    item 1.
+    slower than ``list.extend`` with one ``ClassSet`` at the end.
+
+    A miss is filled from the uncached ``_rule``, not through
+    ``clips_pair_detailed``, so the fold stores each pair once.  An lru
+    entry adds a three-item key tuple per pair, and storing both shows in
+    the benchmark's ``peak_rss_mb`` through the harness's growing latency
+    list.  Outcomes are interned, one per distinct ``(result, rule_id)``,
+    so the rows and the lru cache share a few hundred results instead of
+    holding one per pair.  Classes are interned too (see ``groups``), so
+    the row lookups and the final ``ClassSet`` dedupe stop at the identity
+    check.
     """
     out: List[SubgroupClass] = []
     for a in f1._classes:
+        row = _ROWS.get((ctx, a))
+        if row is None:
+            row = _ROWS[ctx, a] = {}
         for b in f2._classes:
-            out.extend(clips_pair_detailed(ctx, a, b)[0]._classes)
+            classes = row.get(b)
+            if classes is None:
+                classes = row[b] = _rule(ctx, a, b).result._classes
+            out.extend(classes)
     return ClassSet(out)
 
 

@@ -1,8 +1,10 @@
 """The names the benchmark harness reads from the package.
 
 ``perfbench/tracing.py`` wraps each ``(module, attr)`` of its ``LAYERS`` with
-``getattr`` and no default, and ``perfbench/run.py`` imports
-``isoclips.oracle.kernels.USING_NUMBA``: a rename in the package breaks the
+``getattr`` and no default, and reads the pair cache's hit and miss counts
+through ``isoclips.clips.clips_pair_detailed.cache_info()`` and clears it
+with ``.cache_clear()``; ``perfbench/run.py`` imports
+``isoclips.oracle.kernels.USING_NUMBA``.  A rename in the package breaks the
 benchmark, so these tests pin the names.
 """
 
@@ -37,3 +39,11 @@ def test_every_traced_layer_resolves():
 def test_run_record_flag_exists():
     kernels = importlib.import_module("isoclips.oracle.kernels")
     assert isinstance(kernels.USING_NUMBA, bool)
+
+
+def test_pair_cache_counters_exist():
+    clips = importlib.import_module("isoclips.clips")
+    cached = clips.clips_pair_detailed
+    info = cached.cache_info()
+    assert isinstance(info.hits, int) and isinstance(info.misses, int)
+    assert callable(cached.cache_clear)

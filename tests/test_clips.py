@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
 
@@ -26,10 +27,14 @@ from isoclips import (
     d_h,
     d_v,
     dihedral,
+    isotropy_classes,
+    parse_rep,
+    RepSpec,
     type_ii,
     z_minus,
 )
 from isoclips import clips as clips_module
+from isoclips import symmetry
 from test_properties import clipsable
 
 SO3_CTX, O3_CTX = Context.SO3, Context.O3
@@ -349,6 +354,98 @@ class TestClipsSets:
     def test_vector_family(self):
         f = cs(SO2, SO3)
         assert clips_sets(SO3_CTX, f, f) == cs(TRIV, SO2, SO3)
+
+
+def clear_clips_caches():
+    clips_module._ROWS.clear()
+    clips_pair_detailed.cache_clear()
+
+
+class TestFoldRows:
+    """``clips_sets`` reads its own rows, filled from the uncached rule, so
+    it must agree with ``clips_pair`` whatever either cache holds."""
+
+    @staticmethod
+    def families(ctx, seed):
+        rng = random.Random(seed)
+        pool = [c for c in clipsable(ctx, 16) if not c.is_type_ii]
+        return [tuple(ClassSet(rng.sample(pool, rng.randint(1, 8))) for _ in "ab")
+                for _ in range(60)]
+
+    @staticmethod
+    def union_of_pairs(ctx, f1, f2):
+        return ClassSet(c for a in f1 for b in f2 for c in clips_pair(ctx, a, b))
+
+    @pytest.mark.parametrize("ctx", [SO3_CTX, O3_CTX], ids=lambda c: c.value)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_agree_with_clips_pair(self, ctx, seed):
+        families = self.families(ctx, seed)
+        clear_clips_caches()
+        try:
+            cold = [clips_sets(ctx, f1, f2) for f1, f2 in families]
+            assert clips_pair_detailed.cache_info().currsize == 0
+            expected = [self.union_of_pairs(ctx, f1, f2) for f1, f2 in families]
+            assert cold == expected
+            assert [clips_sets(ctx, f1, f2) for f1, f2 in families] == expected
+            clips_pair_detailed.cache_clear()
+            assert [clips_sets(ctx, f1, f2) for f1, f2 in families] == expected
+            assert [clips_sets(ctx, f2, f1) for f1, f2 in families] == expected
+        finally:
+            clear_clips_caches()
+
+
+class TestFoldStorage:
+    """The fold stores each pair once, in its row, as the class tuple of the
+    one shared outcome for its ``(result, rule_id)``: the benchmark's memory
+    bound rests on this shape."""
+
+    INPUTS = [
+        (SO3_CTX, "H40+H36+H30"),
+        (O3_CTX, "2*H12* + 2*H11 + H1 + 2*H6* + 2*H10*"),
+    ]
+
+    @pytest.fixture
+    def folded(self, monkeypatch):
+        """Fold INPUTS from empty caches; yield the pairs the fold asked for."""
+        steps = []
+        real = symmetry.clips_sets
+
+        def recording(ctx, f1, f2):
+            steps.append((ctx, f1, f2))
+            return real(ctx, f1, f2)
+
+        monkeypatch.setattr(symmetry, "clips_sets", recording)
+        clear_clips_caches()
+        try:
+            for ctx, expr in self.INPUTS:
+                isotropy_classes(RepSpec(ctx, parse_rep(expr)))
+            yield {(ctx, a, b) for ctx, f1, f2 in steps for a in f1 for b in f2}
+        finally:
+            clear_clips_caches()
+
+    def test_each_pair_stored_once_in_its_row(self, folded):
+        stored = {(ctx, a, b) for (ctx, a), row in clips_module._ROWS.items() for b in row}
+        assert len(folded) > 1000
+        assert stored == folded
+        assert clips_pair_detailed.cache_info().currsize == 0
+
+    def test_warm_fold_evaluates_no_rule(self, folded, monkeypatch):
+        def unexpected(ctx, a, b):
+            raise AssertionError(f"rule evaluated for {a}, {b}")
+
+        monkeypatch.setattr(clips_module, "_rule", unexpected)
+        for ctx, expr in self.INPUTS:
+            isotropy_classes(RepSpec(ctx, parse_rep(expr)))
+
+    def test_stored_outcomes_are_shared(self, folded):
+        outcomes = set()
+        for ctx, a, b in folded:
+            outcome = clips_module._rule(ctx, a, b)
+            assert clips_module._OUTCOMES[outcome] is outcome
+            assert clips_module._ROWS[ctx, a][b] is outcome.result._classes
+            assert clips_pair_detailed(ctx, a, b) is outcome
+            outcomes.add(outcome)
+        assert len(outcomes) * 5 < len(folded)
 
 
 class TestContextKey:

@@ -564,11 +564,11 @@ class TestVerifyClips:
 
     def test_sampling_free_sweep(self):
         # The alignment frames and the generic frame alone reach the table
-        # on every ordered cell of the finite classes to parameter 12.
+        # on every ordered cell of the finite classes to parameter 24.
         classes = [TRIV, TETRA, OCTA, ICO, OCTA_MINUS]
-        classes += [f(n) for f in (cyclic, dihedral, d_v) for n in range(2, 13)]
-        classes += [z_minus(p) for p in range(2, 13, 2)] + [d_h(p) for p in range(4, 13, 2)]
-        assert len(classes) == 49
+        classes += [f(n) for f in (cyclic, dihedral, d_v) for n in range(2, 25)]
+        classes += [z_minus(p) for p in range(2, 25, 2)] + [d_h(p) for p in range(4, 25, 2)]
+        assert len(classes) == 97
         failures = [
             (str(a), str(b), rep.missing.render(), rep.extra.render())
             for a in classes for b in classes

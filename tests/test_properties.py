@@ -1,6 +1,7 @@
 """Property tests for the algebraic laws the engine must satisfy."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,11 @@ def clipsable(ctx, pmax):
     return out
 
 
+def finite_classes(pmax):
+    """The finite clipsable classes to parameter ``pmax``, both contexts."""
+    return [c for c in so3_classes(pmax) + o3_only_classes(pmax) if c.is_finite]
+
+
 class TestClipsLaws:
     @pytest.mark.parametrize("ctx", [Context.SO3, Context.O3])
     def test_commutativity_exhaustive(self, ctx):
@@ -89,6 +95,20 @@ class TestClipsLaws:
             left = clips_sets(ctx, clips_pair(ctx, a, b), singles[c])
             right = clips_sets(ctx, singles[a], clips_pair(ctx, b, c))
             assert left == right, (a, b, c)
+
+    @pytest.mark.parametrize("ctx", [Context.SO3, Context.O3])
+    def test_so2_rows_are_the_limit_of_cyclic_rows(self, ctx):
+        # K n gSO(2)g^-1 is the set of rotations of K about g e_z, so for N a
+        # multiple of every rotation order in K, clips(K, SO(2)) equals
+        # clips(K, Z_N): a sampling-free check of the SO(2) rows every fold
+        # reads.  (The D_N limit of the O(2) rows does not hold.)
+        classes = [c for c in finite_classes(24)
+                   if ctx is Context.O3 or c.is_type_i]
+        assert len(classes) == (50 if ctx is Context.SO3 else 97)
+        z_n = cyclic(2 * math.lcm(*range(1, 25)))
+        mismatches = [str(k) for k in classes
+                      if clips_pair(ctx, k, SO2) != clips_pair(ctx, k, z_n)]
+        assert mismatches == []
 
     @pytest.mark.parametrize("ctx", [Context.SO3, Context.O3])
     def test_absorption(self, ctx):
