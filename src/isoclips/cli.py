@@ -1,13 +1,17 @@
 """Command-line front-end.
 
 Subcommands: ``clips``, ``isotropy``, ``irrep``, ``decompose``, ``poset``,
-``verify``.  Exit codes: 0 success, 1 invalid input (a class not admissible
-in the context, an infinite class given to ``verify``, a negative ``irrep``
-degree, a ``--dot`` path that cannot be written, an allocation the operating
-system refuses, such as the frames of a huge ``verify --samples``), 2 parse
-or usage error, 3 unsupported operation (mixed -I action / type II clips),
-4 oracle verdict fail.  Catching a refused allocation does not bound memory:
-a request the system grants still runs.
+``verify``.  The four that answer with a set of conjugacy classes share one
+path: ``_class_set`` parses the input, chooses the context and computes the
+set, and ``_cmd_classes`` prints it as text, JSON or DOT, so flags common to
+these answers attach there.  Exit codes: 0 success, 1 invalid input (a class
+not admissible in the context, an infinite class given to ``verify``, a
+negative ``irrep`` degree, a ``--dot`` path that cannot be written, an
+allocation the operating system refuses, such as the frames of a huge
+``verify --samples``), 2 parse or usage error, 3 unsupported operation
+(mixed -I action / type II clips), 4 oracle verdict fail.  Catching a
+refused allocation does not bound memory: a request the system grants still
+runs.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .groups import (
     ClassSet,
     Context,
     ContextError,
-    SubgroupClass,
     UnsupportedClipsError,
+    needed_context,
     render_class,
 )
 from .clips import HasseEdges, clips_pair, hasse
@@ -99,35 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_ctx(explicit: Optional[str], forced_o3: bool) -> Context:
-    if explicit is not None:
-        return Context(explicit)
-    if forced_o3:
-        print("note: promoting context to o3 (input requires it)", file=sys.stderr)
-        return Context.O3
-    return Context.SO3
-
-
-def _forces_o3(*classes: SubgroupClass) -> bool:
-    return any(c.is_type_iii or c.is_type_ii for c in classes)
-
-
-def _sum_forces_o3(content: HarmonicSum) -> bool:
-    return any(label.star for label, _ in content.terms)
-
-
-def _emit_classes(result: ClassSet, ctx: Context, as_json: bool,
-                  dot: Optional[str]) -> None:
-    if dot:
-        _write_dot(result, hasse(result, ctx), dot)
-    if as_json:
-        _print_json(
-            {"context": ctx.value, "classes": [render_class(c) for c in result]}
-        )
-    else:
-        print(result.render())
-
-
 def _write_dot(result: ClassSet, edges: HasseEdges, path: str) -> None:
     lonely = [c for c in result
               if not any(c in e for e in edges)]
@@ -141,28 +116,45 @@ def _write_dot(result: ClassSet, edges: HasseEdges, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _cmd_clips(args) -> int:
-    a, b = parse_class(args.first), parse_class(args.second)
-    ctx = _resolve_ctx(args.ctx, _forces_o3(a, b))
-    result = clips_pair(ctx, a, b)
-    _emit_classes(result, ctx, args.json, args.dot)
-    return EXIT_OK
+def _class_set(args) -> Tuple[Context, ClassSet]:
+    """The context and the class set that answer ``clips``, ``isotropy``,
+    ``irrep`` or ``poset``.  Without ``--ctx`` the context is the one the
+    input needs, with a note on stderr when that is o3."""
+    if args.command == "clips":
+        pair = parse_class(args.first), parse_class(args.second)
+        needed = needed_context(*pair)
+    else:
+        content = (HarmonicSum([(HarmonicLabel(args.degree, args.star), 1)])
+                   if args.command == "irrep" else parse_rep(args.rep))
+        starred = any(label.star for label, _ in content.terms)
+        needed = Context.O3 if starred else Context.SO3
+    ctx = needed if args.ctx is None else Context(args.ctx)
+    if args.ctx is None and ctx is Context.O3:
+        print("note: promoting context to o3 (input requires it)", file=sys.stderr)
+    if args.command == "clips":
+        return ctx, clips_pair(ctx, *pair)
+    return ctx, isotropy_classes(RepSpec(ctx, content))
 
 
-def _cmd_isotropy(args) -> int:
-    content = parse_rep(args.rep)
-    ctx = _resolve_ctx(args.ctx, _sum_forces_o3(content))
-    result = isotropy_classes(RepSpec(ctx, content))
-    _emit_classes(result, ctx, args.json, args.dot)
-    return EXIT_OK
-
-
-def _cmd_irrep(args) -> int:
-    label = HarmonicLabel(args.degree, args.star)
-    content = HarmonicSum([(label, 1)])
-    ctx = _resolve_ctx(args.ctx, args.star)
-    result = isotropy_classes(RepSpec(ctx, content))
-    _emit_classes(result, ctx, args.json, None)
+def _cmd_classes(args) -> int:
+    ctx, result = _class_set(args)
+    poset = args.command == "poset"
+    dot = getattr(args, "dot", None)  # ``irrep`` has no ``--dot``
+    edges = hasse(result, ctx) if poset or dot else None
+    if dot:
+        _write_dot(result, edges, dot)
+    if args.json:
+        answer = {"context": ctx.value, "classes": [render_class(c) for c in result]}
+        if poset:
+            answer["edges"] = [[render_class(lo), render_class(hi)] for lo, hi in edges]
+        _print_json(answer)
+    elif poset and edges:
+        # The full class lies above every other, so only a one-class result
+        # has no edge; it prints its class set like the other commands.
+        for lo, hi in edges:
+            print(f"{render_class(lo)} -> {render_class(hi)}")
+    else:
+        print(result.render())
     return EXIT_OK
 
 
@@ -182,29 +174,6 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _cmd_poset(args) -> int:
-    content = parse_rep(args.rep)
-    ctx = _resolve_ctx(args.ctx, _sum_forces_o3(content))
-    result = isotropy_classes(RepSpec(ctx, content))
-    edges = hasse(result, ctx)
-    if args.dot:
-        _write_dot(result, edges, args.dot)
-    if args.json:
-        _print_json({
-            "context": ctx.value,
-            "classes": [render_class(c) for c in result],
-            "edges": [[render_class(lo), render_class(hi)] for lo, hi in edges],
-        })
-    else:
-        for lo, hi in edges:
-            print(f"{render_class(lo)} -> {render_class(hi)}")
-        if not edges:
-            # The full class lies above every other, so only a one-class
-            # result has no edge.
-            print(result.render())
-    return EXIT_OK
-
-
 def _cmd_verify(args) -> int:
     from .oracle import verify_clips
 
@@ -221,11 +190,11 @@ def _cmd_verify(args) -> int:
 
 
 _COMMANDS = {
-    "clips": _cmd_clips,
-    "isotropy": _cmd_isotropy,
-    "irrep": _cmd_irrep,
+    "clips": _cmd_classes,
+    "isotropy": _cmd_classes,
+    "irrep": _cmd_classes,
     "decompose": _cmd_decompose,
-    "poset": _cmd_poset,
+    "poset": _cmd_classes,
     "verify": _cmd_verify,
 }
 

@@ -276,8 +276,6 @@ def _rule(ctx: Context, a: SubgroupClass, b: SubgroupClass) -> ClipsRuleOutcome:
     if a == SO3 or b == SO3:
         # Only reachable in the O(3) context: restriction to the rotation part.
         other = b if a == SO3 else a
-        if other == SO3:
-            return _outcome([SO3], "Table3:L")
         target = other if other.is_type_i else characteristic_l(other)
         return _outcome([target], "Table3:L")
     a, b = sorted((a, b), key=SubgroupClass.sort_key)

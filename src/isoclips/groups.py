@@ -299,6 +299,12 @@ def is_admissible(cls: SubgroupClass, ctx: Context) -> bool:
     return ctx is Context.O3 or cls.is_type_i
 
 
+def needed_context(*classes: SubgroupClass) -> Context:
+    """The smallest context in which every class is admissible: O(3) if any
+    class is type II or III, SO(3) otherwise."""
+    return Context.SO3 if all(c.is_type_i for c in classes) else Context.O3
+
+
 def check_admissible(ctx: Context, *classes: SubgroupClass) -> None:
     for cls in classes:
         if not is_admissible(cls, ctx):

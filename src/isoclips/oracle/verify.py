@@ -129,7 +129,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..clips import clips_pair
-from ..groups import ClassSet, Context, SubgroupClass, render_class
+from ..groups import ClassSet, SubgroupClass, needed_context, render_class
 from .classify import _axis_clusters, classify, rotation_axis_angle
 from . import kernels
 from .kernels import ROW_BUDGET, batch_membership, invariant_runs, match_plan, read_only
@@ -524,9 +524,7 @@ def verify_clips(a: SubgroupClass, b: SubgroupClass, samples: int = 200,
     """Compare the symbolic clips set of (a, b) with observed intersections."""
     if not (a.is_finite and b.is_finite):
         raise ValueError("oracle verification needs finite classes")
-    ctx = Context.O3 if (a.is_type_iii or b.is_type_iii or a.is_type_ii
-                         or b.is_type_ii) else Context.SO3
-    table = clips_pair(ctx, a, b)
+    table = clips_pair(needed_context(a, b), a, b)
     witnesses = _witnesses(a, b, alignment_frames(a, b), samples, seed)
     observed = ClassSet(witnesses.keys())
     extra = ClassSet(c for c in observed if c not in table)

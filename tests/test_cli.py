@@ -184,6 +184,33 @@ class TestPoset:
         assert data["edges"] == expected
 
 
+class TestOneAnswerPath:
+    """``irrep`` and ``poset`` answer as ``isotropy`` does on the same sum."""
+
+    @pytest.mark.parametrize("ctx", [[], ["--ctx", "so3"], ["--ctx", "o3"]],
+                             ids=["auto", "so3", "o3"])
+    @pytest.mark.parametrize("star", [False, True], ids=["plain", "star"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_irrep_is_isotropy_of_its_label(self, capsys, ctx, star, as_json):
+        flags = ctx + (["--json"] if as_json else [])
+        for n in range(9):
+            assert run(["irrep", str(n)] + (["--star"] if star else []) + flags) == 0
+            irrep = out_of(capsys)
+            assert run(["isotropy", f"H{n}" + ("*" if star else "")] + flags) == 0
+            assert out_of(capsys) == irrep
+
+    @pytest.mark.parametrize("rep", ["H4 + 2*H2 + 2*H0", "H3 + H2* + 2*H1", "H0", "H1*"])
+    def test_poset_json_extends_isotropy_json(self, capsys, rep):
+        run(["isotropy", rep, "--json"])
+        isotropy, iso_err = out_of(capsys)
+        run(["poset", rep, "--json"])
+        poset, poset_err = out_of(capsys)
+        data = json.loads(poset)
+        assert poset_err == iso_err
+        assert list(data) == ["context", "classes", "edges"]
+        assert {k: data[k] for k in ("context", "classes")} == json.loads(isotropy)
+
+
 @pytest.mark.parametrize("argv", [
     ["clips", "D2", "O(2)"], ["isotropy", "H2"], ["poset", "H1"],
 ], ids=lambda argv: argv[0])
@@ -263,7 +290,9 @@ class TestVerify:
         assert out == ""
         assert err == "error: out of memory (Unable to allocate 2.91 TiB)\n"
 
-    @pytest.mark.parametrize("option,value", [("--samples", "-1"), ("--seed", "-3")])
+    @pytest.mark.parametrize("option,value", [
+        ("--samples", "-1"), ("--seed", "-3"), ("--samples", "abc"), ("--seed", "1.5"),
+    ])
     def test_negative_option_is_usage_error(self, capsys, option, value):
         with pytest.raises(SystemExit) as exc:
             run(["verify", "Z6", "Z4", option, value])

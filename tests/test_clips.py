@@ -286,6 +286,12 @@ class TestRuleIds:
         assert clips_pair_detailed(O3_CTX, d_v(3), dihedral(7)).rule_id == "Lemma5.1:Dv"
         assert clips_pair_detailed(O3_CTX, d_h(6), d_h(8)).rule_id == "LemmaB.8+oracle"
         assert clips_pair_detailed(SO3_CTX, SO3, ICO).rule_id == "FullGroup"
+        # In O(3), SO(3) restricts the other class to its rotation part.
+        for other, part in [(SO3, SO3), (dihedral(4), dihedral(4)),
+                            (d_h(6), dihedral(3)), (z_minus(4), cyclic(2))]:
+            for pair in [(SO3, other), (other, SO3)]:
+                outcome = clips_pair_detailed(O3_CTX, *pair)
+                assert outcome == ClipsRuleOutcome(ClassSet([part]), "Table3:L")
 
     def test_oracle_adjusted_cells_are_flagged(self):
         for pair in [(TETRA, TETRA), (ICO, ICO), (ICO, OCTA)]:
