@@ -9,7 +9,6 @@ import numpy as np
 
 from ..groups import (
     SubgroupClass,
-    TRIV,
     TETRA,
     OCTA,
     ICO,
@@ -87,38 +86,29 @@ def _axis_clusters(rotations: np.ndarray) -> List[Tuple[np.ndarray, int]]:
     return clusters
 
 
-def _classify_rotations(rotations: np.ndarray) -> SubgroupClass:
-    n = rotations.shape[0]
-    if n == 1:
-        return TRIV
-    clusters = _axis_clusters(rotations)
-    orders = sorted(c + 1 for _, c in clusters)
-    if len(clusters) == 1:
-        if orders[0] != n:
-            raise ValueError("axial group with inconsistent order")
-        # Angles must be the multiples of 2*pi/n, or the set is not a group.
-        # Each angle from twice its sine, |R - R^T|, and twice its cosine,
-        # tr R - 1: exact near a half turn, where the arccos of the trace is
-        # not.
-        R = _moved(rotations)
-        angles = np.arctan2(np.linalg.norm(_axial(R), axis=1),
-                            R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2] - 1.0)
-        steps = angles / (2.0 * pi / n)
-        if (np.abs(steps - np.rint(steps)) > 1e-4).any():
-            raise ValueError("axial set is not a cyclic group")
+def _classify_rotations(R: np.ndarray) -> SubgroupClass:
+    """Class of a closed group of n rotations, named by its element orders.
+    Each angle comes from twice its sine, |R - R^T|, and twice its cosine,
+    tr R - 1: exact near a half turn, where the arccos of the trace is not.
+    In a group every angle is a multiple k of 2*pi/n, and the element's
+    order is n / gcd(k, n).  The largest order m names the class: Zn when
+    m = n, Dm when n = 2m, and T, O, I at (12, 3), (24, 4), (60, 5)."""
+    n = len(R)
+    angles = np.arctan2(np.linalg.norm(_axial(R), axis=1),
+                        R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2] - 1.0)
+    steps = angles * (n / (2.0 * pi))
+    k = np.rint(steps)
+    if n == 0 or (np.abs(steps - k) > 1e-4).any():
+        raise ValueError("rotation set is not a group")
+    m = int((n // np.gcd(k.astype(np.int64), n)).max())
+    if m == n:
         return cyclic(n)
-    if n == 4 and orders == [2, 2, 2]:
-        return dihedral(2)
-    if n == 12 and orders == [2, 2, 2, 3, 3, 3, 3]:
-        return TETRA
-    if n == 24 and orders == [2] * 6 + [3] * 4 + [4] * 3:
-        return OCTA
-    if n == 60 and orders == [2] * 15 + [3] * 10 + [5] * 6:
-        return ICO
-    k = orders[-1]
-    if n == 2 * k and orders == [2] * k + [k]:
-        return dihedral(k)
-    raise ValueError(f"unrecognized rotation group signature: order {n}, {orders}")
+    if n == 2 * m and m >= 2:
+        return dihedral(m)
+    named = {(12, 3): TETRA, (24, 4): OCTA, (60, 5): ICO}.get((n, m))
+    if named is None:
+        raise ValueError(f"no finite rotation group of order {n} has largest element order {m}")
+    return named
 
 
 def classify(G: np.ndarray) -> SubgroupClass:

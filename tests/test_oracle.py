@@ -20,6 +20,7 @@ from isoclips import (
     type_ii,
     z_minus,
 )
+from isoclips.groups import needed_context
 from isoclips.oracle import (
     MATCH_TOL,
     alignment_frames,
@@ -397,6 +398,18 @@ class TestClassify:
         f = random_rotations(1, np.random.default_rng(1))[0]
         assert classify(conjugate(realize(cyclic(60000)), f)) == cyclic(60000)
 
+    @pytest.mark.parametrize("cls", [dihedral(20000), cyclic(100000)], ids=str)
+    def test_large_orders_in_a_random_frame(self, cls):
+        f = random_rotations(1, np.random.default_rng(2))[0]
+        assert classify(conjugate(realize(cls), f)) == cls
+
+    def test_every_class_to_parameter_40_in_random_frames(self):
+        frames = random_rotations(3, np.random.default_rng(40))
+        classes = _finite_classes(40)
+        assert len(classes) == 243
+        assert [c for c in classes for f in frames
+                if classify(conjugate(realize(c), f)) != c] == []
+
     def test_identity_only(self):
         assert classify(np.eye(3)[None]) == TRIV
 
@@ -423,7 +436,10 @@ class TestClassify:
         [rotation(a, pi) for a in np.eye(3)],  # the half turns of D2 without I
         [np.eye(3), -np.eye(3), rotation([0, 0, 1], pi)],  # -I, proper part not half
         [np.eye(3), rotation([0, 0, 1], pi), np.diag([1.0, 1.0, -1.0])],  # no -I, not index 2
-    ], ids=["axial_not_cyclic", "no_signature", "minus_id_not_half", "not_index_2"])
+        np.empty((0, 3, 3)),  # no elements
+        [np.eye(3), np.eye(3)],  # the identity twice
+    ], ids=["axial_not_cyclic", "no_signature", "minus_id_not_half", "not_index_2", "empty",
+            "identity_twice"])
     def test_refuses_sets_that_are_not_groups(self, mats):
         with pytest.raises(ValueError):
             classify(np.array(mats))
@@ -587,6 +603,21 @@ class TestVerifyClips:
     def test_large_orders_pass_without_samples(self, a, b):
         # Intersections of order over 120 classify like any other.
         assert verify_clips(a, b, samples=0).verdict == "pass"
+
+    @pytest.mark.parametrize("a,b", [
+        (z_minus(80), z_minus(240)),
+        (z_minus(62), d_h(6)),
+        (z_minus(62), d_h(4)),
+        (d_v(26), d_h(6)),
+        (d_h(52), OCTA_MINUS),
+    ], ids=str)
+    def test_cells_past_parameter_24_equal_the_table(self, a, b):
+        # Each cell takes a branch of _zm_zm, _zm_dh, _dv_dh or _dh_om past
+        # parameter 24, where test_sampling_free_sweep stops.  In Z62^- o D6^h
+        # the odd-n branch of _zm_dh repeats the Z2^- of the odd-quotient
+        # one; in Z62^- o D4^h it alone puts Z2^- in the table.
+        rep = verify_clips(a, b, samples=0)
+        assert rep.observed == clips_pair(needed_context(a, b), a, b)
 
     def test_twists_modulo_the_stabiliser_keep_every_witness(self):
         # A step drops a twist only after a kept one of the same class
